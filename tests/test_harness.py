@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import replace
 
@@ -17,6 +18,7 @@ from satchain.harness import (
     run_online,
     run_taguchi,
 )
+from satchain.workload import generate_requests, workload_to_json
 
 from conftest import make_graph, make_request
 
@@ -275,3 +277,47 @@ class TestCli:
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "number,d,beam,requests,mean_phi"
         assert len(out) == 3
+
+
+class TestOutputDigest:
+    """Byte-level pin of everything the library writes out.
+
+    Covers the metrics CSV/JSON of batch and on-line runs for every algorithm
+    at 6 and 12 nodes under both idle-charging rules, a small sweep table, and
+    the config, graph and workload JSON forms.  A refactor must leave the
+    digest unchanged; a deliberate behaviour change updates it and says so.
+    """
+
+    DIGEST = "b941c0e75a1736c8d7c446d24fb8313945640a545f08fe96f19c6f90fd2e81c4"
+    SEEDS = {"pgra": (0,), "viterbi": (0, 1), "greedy": (0, 1, 2, 3)}
+
+    def _texts(self):
+        for nodes in (6, 12):
+            for idle_charge in ("once", "per_vnf"):
+                base = SimulationConfig(
+                    idle_charge=idle_charge, requests=6, slots=3, requests_per_slot=(2, 4)
+                ).with_nodes(nodes)
+                graph = base.build_graph()
+                for algorithm, seeds in self.SEEDS.items():
+                    for seed in seeds:
+                        batch = [run_batch(base, algorithm, seed, graph=graph)]
+                        online = run_online(replace(base, mode="online"), algorithm, seed, graph=graph)
+                        for results in (batch, online):
+                            yield emit_text(results, "csv")
+                            yield emit_text(results, "json")
+        sweep = run_taguchi(
+            SimulationConfig(), d_levels=(1, 4), b_levels=(1, 2), m_values=(4,), repetitions=1, seed=2
+        )
+        yield sweep.to_csv_text()
+        yield SimulationConfig().to_json()
+        yield SimulationConfig(beam_width=None, idle_charge="per_vnf", requests_per_slot=(2, 3)).to_json()
+        graph = SimulationConfig().build_graph()
+        yield graph.to_json()
+        yield workload_to_json(generate_requests(5, graph, rng_seed=3, d=4))
+
+    def test_digest_is_pinned(self):
+        digest = hashlib.sha256()
+        for text in self._texts():
+            digest.update(text.encode())
+            digest.update(b"\x00")
+        assert digest.hexdigest() == self.DIGEST
