@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from . import checks
 from .harness import ALGORITHMS, SimulationConfig, emit, emit_text, run_batch, run_online, run_taguchi
@@ -27,18 +28,16 @@ def _load_config(args, mode: str) -> SimulationConfig:
             config = SimulationConfig.from_json(fh.read())
     else:
         config = SimulationConfig()
-    config.mode = mode
     if args.nodes is not None:
         config = config.with_nodes(args.nodes)
-    if args.d is not None:
-        config.num_paths = args.d
-    if args.beam is not None:
-        config.beam_width = args.beam
-    if args.requests is not None:
-        config.requests = args.requests
-    if getattr(args, "slots", None) is not None:
-        config.slots = args.slots
-    return config
+    flags = {
+        "num_paths": args.d,
+        "beam_width": args.beam,
+        "requests": args.requests,
+        "slots": getattr(args, "slots", None),
+    }
+    # replace() re-runs the config's validation on the flag values
+    return replace(config, mode=mode, **{name: value for name, value in flags.items() if value is not None})
 
 
 def _write(results, args) -> None:

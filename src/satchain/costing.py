@@ -267,7 +267,7 @@ def evaluate_strategy(
     return CostBreakdown(bw, power, delay, user_payoff(bw, power, delay, weights))
 
 
-def network_payoff(profile: StrategyProfile, weights: Weights | None = None) -> float:
+def network_payoff(profile: StrategyProfile) -> float:
     """Sum of stored payoffs in request-id order (the potential function)."""
     total = 0.0
     for rid in sorted(profile.strategies):
@@ -362,30 +362,11 @@ def check_feasibility(profile: StrategyProfile, graph: NetworkGraph) -> list:
     return violations
 
 
-def breakdown_rows(profile: StrategyProfile) -> list:
-    """Tidy per-request cost rows for CSV export."""
-    rows = []
+def breakdown_csv(profile: StrategyProfile) -> str:
+    """Tidy per-request cost rows, in request-id order."""
+    lines = ["request_id,bw,power,delay,payoff,allocated"]
     for rid in sorted(profile.strategies):
         s = profile.strategies[rid]
         c = s.cost or CostBreakdown(0.0, 0.0, 0.0, 0.0)
-        rows.append(
-            {
-                "request_id": rid,
-                "bw": c.bw,
-                "power": c.power,
-                "delay": c.delay,
-                "payoff": s.payoff,
-                "allocated": s.allocated,
-            }
-        )
-    return rows
-
-
-def breakdown_csv(profile: StrategyProfile) -> str:
-    lines = ["request_id,bw,power,delay,payoff,allocated"]
-    for row in breakdown_rows(profile):
-        lines.append(
-            f"{row['request_id']},{row['bw']!r},{row['power']!r},{row['delay']!r},"
-            f"{row['payoff']!r},{row['allocated']}"
-        )
+        lines.append(f"{rid},{c.bw!r},{c.power!r},{c.delay!r},{s.payoff!r},{s.allocated}")
     return "\n".join(lines) + "\n"

@@ -51,6 +51,12 @@ class GameTrace:
     def iterations(self) -> int:
         return len(self.rows)
 
+    @property
+    def converged(self) -> bool:
+        """True when the run ended on an iteration with no improving proposal,
+        False when ``k_max`` cut it off after a commit."""
+        return bool(self.rows) and self.rows[-1].winner is None
+
     def to_csv(self, path: str) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")

@@ -12,7 +12,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field, replace
+import warnings
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from statistics import fmean
 
 import numpy as np
@@ -67,6 +68,17 @@ class SimulationConfig:
             raise ValueError("mode must be 'batch' or 'online'")
         if self.idle_charge not in ("once", "per_vnf"):
             raise ValueError("idle_charge must be 'once' or 'per_vnf'")
+        for name in ("requests", "slots"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+        bounds = self.requests_per_slot
+        if not (
+            isinstance(bounds, (tuple, list))
+            and len(bounds) == 2
+            and all(isinstance(v, int) for v in bounds)
+            and 0 <= bounds[0] <= bounds[1]
+        ):
+            raise ValueError(f"requests_per_slot must be two ints lo, hi with 0 <= lo <= hi, not {bounds!r}")
 
     def with_nodes(self, total: int) -> "SimulationConfig":
         if total % self.planes:
@@ -94,52 +106,24 @@ class SimulationConfig:
         return GameConfig(self.k_max, self.epsilon, self.placement_config())
 
     def to_json(self) -> str:
-        doc = {
-            "planes": self.planes,
-            "sats_per_plane": self.sats_per_plane,
-            "intra_plane_km": self.intra_plane_km,
-            "inter_plane_km": self.inter_plane_km,
-            "link_bandwidth": self.link_bandwidth,
-            "cpu": self.cpu,
-            "memory": self.memory,
-            "p_idle": self.p_idle,
-            "p_max": self.p_max,
-            "t_idle_max": self.t_idle_max,
-            "t_off_min": self.t_off_min,
-            "ranges": {
-                "vnf_count": list(self.ranges.vnf_count),
-                "cpu": list(self.ranges.cpu),
-                "memory": list(self.ranges.memory),
-                "exec_time": list(self.ranges.exec_time),
-                "bandwidth": list(self.ranges.bandwidth),
-                "duration": list(self.ranges.duration),
-            },
-            "weights": {"bw": self.weights.bw, "power": self.weights.power, "delay": self.weights.delay},
-            "num_paths": self.num_paths,
-            "beam_width": self.beam_width,
-            "k_max": self.k_max,
-            "epsilon": self.epsilon,
-            "idle_charge": self.idle_charge,
-            "mode": self.mode,
-            "requests": self.requests,
-            "slots": self.slots,
-            "requests_per_slot": list(self.requests_per_slot),
-            "validate_each_step": self.validate_each_step,
-        }
-        return json.dumps(doc, indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "SimulationConfig":
+        """Parse `to_json` output; absent keys keep their defaults, unknown keys raise."""
         doc = json.loads(text)
-        ranges = doc.pop("ranges", None)
-        weights = doc.pop("weights", None)
-        cfg = cls(**doc)
-        if ranges is not None:
-            cfg.ranges = WorkloadRanges(**{k: tuple(v) for k, v in ranges.items()})
-        if weights is not None:
-            cfg.weights = Weights(**weights)
-        cfg.requests_per_slot = tuple(cfg.requests_per_slot)
-        return cfg
+        for name, kind in (("ranges", WorkloadRanges), ("weights", Weights)):
+            if name in doc:
+                doc[name] = _from_section(kind, doc[name], f"section {name!r}")
+        return _from_section(cls, doc, "the top level")
+
+
+def _from_section(kind, doc: dict, section: str):
+    """Build dataclass `kind` from one JSON object; lists become tuples."""
+    unknown = sorted(set(doc) - {f.name for f in fields(kind)})
+    if unknown:
+        raise ValueError(f"unknown config key {unknown[0]!r} in {section}")
+    return kind(**{k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()})
 
 
 @dataclass(frozen=True)
@@ -160,18 +144,26 @@ def _fresh_context(graph: NetworkGraph, config: SimulationConfig, slot: int = 0)
     return SlotContext(slot, states, [], config.idle_charge)
 
 
+def _assert_feasible(profile: StrategyProfile, graph: NetworkGraph, what: str) -> None:
+    violations = check_feasibility(profile, graph)
+    if violations:
+        raise AssertionError(f"{what}: {violations[:3]}")
+
+
 def _allocate(algorithm, requests, graph, context, config: SimulationConfig):
-    """Run one allocation round; returns (profile, iterations used)."""
+    """Run one allocation round; returns (profile, iterations used).
+
+    A `pgra` slot cut off by ``k_max`` before it converged warns.
+    """
     if algorithm == "pgra":
         on_commit = None
         if config.validate_each_step:
-
-            def on_commit(profile):
-                violations = check_feasibility(profile, graph)
-                if violations:
-                    raise AssertionError(f"infeasible committed profile: {violations[:3]}")
-
+            on_commit = lambda profile: _assert_feasible(profile, graph, "infeasible committed profile")
         profile, trace = pgra_run(requests, graph, context, config.game_config(), on_commit=on_commit)
+        if not trace.converged:
+            warnings.warn(
+                f"slot {context.slot}: pgra stopped at k_max={config.k_max} before converging", RuntimeWarning
+            )
         return profile, trace.iterations
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
@@ -218,9 +210,7 @@ def run_batch(config: SimulationConfig, algorithm: str, seed: int, graph: Networ
     )
     profile, iterations = _allocate(algorithm, requests, graph, context, config)
     if config.validate_each_step:
-        violations = check_feasibility(profile, graph)
-        if violations:
-            raise AssertionError(f"infeasible final profile: {violations[:3]}")
+        _assert_feasible(profile, graph, "infeasible final profile")
     return _metrics(profile, 0, algorithm, seed, iterations)
 
 
@@ -256,9 +246,7 @@ class OnlineSimulation:
         context = SlotContext(slot, dict(self.fleet.states), list(self.running), self.config.idle_charge)
         profile, iterations = _allocate(algorithm, new_requests, self.graph, context, self.config)
         if self.config.validate_each_step:
-            violations = check_feasibility(profile, self.graph)
-            if violations:
-                raise AssertionError(f"slot {slot}: infeasible profile: {violations[:3]}")
+            _assert_feasible(profile, self.graph, f"slot {slot}: infeasible profile")
         for rid in profile.allocated_ids():
             request = profile.requests[rid]
             self.running.append(
@@ -364,60 +352,24 @@ def run_taguchi(
 
 # -- emission ----------------------------------------------------------------
 
-CSV_HEADER = [
-    "slot",
-    "algorithm",
-    "seed",
-    "phi",
-    "allocated_fraction",
-    "mean_bw",
-    "mean_power",
-    "mean_delay",
-    "iterations",
-]
+CSV_HEADER = [f.name for f in fields(SlotMetrics)]
 
 
 def metrics_rows(results: list) -> list:
-    return [
-        {
-            "slot": m.slot,
-            "algorithm": m.algorithm,
-            "seed": m.seed,
-            "phi": m.phi,
-            "allocated_fraction": m.allocated_fraction,
-            "mean_bw": m.mean_bw,
-            "mean_power": m.mean_power,
-            "mean_delay": m.mean_delay,
-            "iterations": m.iterations,
-        }
-        for m in results
-    ]
+    return [asdict(m) for m in results]
 
 
 def emit_text(results: list, fmt: str) -> str:
     if not results:
         raise ValueError("nothing to emit")
-    rows = metrics_rows(results)
     if fmt == "json":
-        return json.dumps(rows, indent=2)
+        return json.dumps(metrics_rows(results), indent=2)
     if fmt == "csv":
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        for row in rows:
-            writer.writerow(
-                [
-                    row["slot"],
-                    row["algorithm"],
-                    row["seed"],
-                    repr(row["phi"]),
-                    repr(row["allocated_fraction"]),
-                    repr(row["mean_bw"]),
-                    repr(row["mean_power"]),
-                    repr(row["mean_delay"]),
-                    row["iterations"],
-                ]
-            )
+        # the csv module writes floats with repr(), so rows are bit-stable
+        writer.writerows(astuple(m) for m in results)
         return out.getvalue()
     raise ValueError(f"unknown format {fmt!r}")
 

@@ -1,16 +1,19 @@
-"""Placing one chain onto the network: beam search per candidate path, plus a
-myopic greedy baseline.
+"""Placing one chain onto the network: one beam-search kernel, run per
+candidate path for the best response and once, at width 1, for the greedy
+baseline.
 
 The beam search treats the chain as a stage sequence.  The state space of
-every stage is the node set of one candidate source-to-destination path (the
-"corridor"); hosts need not advance monotonically along it.  The route
-between two consecutive hosts is not forced to follow the corridor: it is the
-first entry of the ranked shortest-path set between the hosts that keeps the
-partial placement feasible (link bandwidth with traversal multiplicity, and
-the running delay within budget).  After each stage the partial placements
-are ranked by payoff, ties broken by fewer hops then lexicographic host
-sequence, and truncated to the beam width; truncation keeps a prefix of a
-fixed total order, so a wider beam never does worse.
+every stage is a sorted node list, the "corridor": for `viterbi_place` the
+nodes of one candidate source-to-destination path, for `greedy_place` the
+union of all candidate corridors.  Hosts need not advance monotonically
+along it.  The route between two consecutive hosts is not forced to follow
+the corridor: it is the first entry of the ranked shortest-path set between
+the hosts that keeps the partial placement feasible (link bandwidth with
+traversal multiplicity, and the running delay within budget).  After each
+stage the partial placements are ranked by payoff, ties broken by fewer hops
+then lexicographic host sequence, and truncated to the beam width;
+truncation keeps a prefix of a fixed total order, so a wider beam never does
+worse.
 """
 
 from __future__ import annotations
@@ -36,35 +39,21 @@ class PlacementConfig:
             raise ValueError("beam width must be >= 1 (or None for unlimited)")
 
 
+@dataclass(slots=True)
 class _Beam:
     """A partial placement: hosts so far plus running cost accumulators."""
 
-    __slots__ = (
-        "hosts",
-        "routes",
-        "bw_units",
-        "power_w",
-        "delay_ms",
-        "hops",
-        "payoff",
-        "used_cpu",
-        "used_mem",
-        "used_bw",
-        "idle_paid",
-    )
-
-    def __init__(self, hosts, routes, bw_units, power_w, delay_ms, hops, payoff, used_cpu, used_mem, used_bw, idle_paid):
-        self.hosts = hosts
-        self.routes = routes
-        self.bw_units = bw_units
-        self.power_w = power_w
-        self.delay_ms = delay_ms
-        self.hops = hops
-        self.payoff = payoff
-        self.used_cpu = used_cpu
-        self.used_mem = used_mem
-        self.used_bw = used_bw
-        self.idle_paid = idle_paid
+    hosts: tuple
+    routes: tuple
+    bw_units: float
+    power_w: float
+    delay_ms: float
+    hops: int
+    payoff: float
+    used_cpu: list
+    used_mem: list
+    used_bw: list
+    idle_paid: list | None
 
 
 def _pick_route(routes, free_bw, used_bw, bandwidth, delay_so_far, exec_time, max_delay):
@@ -93,20 +82,19 @@ def _pick_route(routes, free_bw, used_bw, bandwidth, delay_so_far, exec_time, ma
     return None, 0.0
 
 
-def viterbi_place(
+def _beam_search(
     request: UserRequest,
-    path: Path,
+    corridor: list,
     view: ContextView,
     graph: NetworkGraph,
     config: PlacementConfig,
+    beam_width: int | None,
 ) -> Strategy | None:
-    """Best placement of `request` with hosts restricted to `path`'s nodes.
+    """Best placement found keeping `beam_width` partial placements per stage
+    (None keeps all), with intermediate hosts drawn from the sorted `corridor`.
 
     Returns None when every partial placement dies (no feasible completion).
     """
-    if path.nodes[0] != request.source or path.nodes[-1] != request.destination:
-        raise ValueError("candidate path must join the request endpoints")
-    corridor = sorted(set(path.nodes))
     vnfs = request.vnfs
     edges = request.edges
     n_nodes = len(graph.nodes)
@@ -224,10 +212,26 @@ def viterbi_place(
         if not grown:
             return None
         grown.sort(key=lambda s: (-s.payoff, s.hops, s.hosts))
-        beam = grown if config.beam_width is None else grown[: config.beam_width]
+        beam = grown if beam_width is None else grown[:beam_width]
     best = beam[0]
     cost = evaluate_strategy(request, best.hosts, best.routes, graph, view, weights)
     return Strategy(request.id, best.hosts, best.routes, True, cost)
+
+
+def viterbi_place(
+    request: UserRequest,
+    path: Path,
+    view: ContextView,
+    graph: NetworkGraph,
+    config: PlacementConfig,
+) -> Strategy | None:
+    """Best placement of `request` with hosts restricted to `path`'s nodes.
+
+    Returns None when every partial placement dies (no feasible completion).
+    """
+    if path.nodes[0] != request.source or path.nodes[-1] != request.destination:
+        raise ValueError("candidate path must join the request endpoints")
+    return _beam_search(request, sorted(set(path.nodes)), view, graph, config, config.beam_width)
 
 
 def best_response(
@@ -270,93 +274,17 @@ def greedy_place(
     graph: NetworkGraph,
     config: PlacementConfig,
 ) -> Strategy | None:
-    """One-pass placement: each VNF takes the cheapest feasible node right now.
+    """One-pass placement: each VNF takes the best feasible node right now.
 
-    Candidate nodes are the union of all candidate-path corridors; the cost
-    of a node is the weighted increment it adds (bandwidth of the connecting
-    route, attributed power, execution plus transit time), considering only
-    the first feasible ranked route from the previous host.  Ties break
-    toward the smallest node id.  No backtracking: any dead end fails the
-    whole request.
+    This is the beam search at width 1 over the union of all candidate-path
+    corridors: a node's score is the payoff of the placement so far with it
+    appended (bandwidth of the first feasible ranked route from the previous
+    host, attributed power, execution plus transit time).  Exact ties break
+    toward fewer hops, then the smallest node id.  `config.beam_width` is
+    ignored.  No backtracking: any dead end fails the whole request.
     """
     view = ContextView.build(graph, profile, exclude=request.id)
-    weights = config.weights
-    candidates: set = set()
+    corridor: set = set()
     for path in graph.candidate_sd_paths(request.source, request.destination, config.num_paths).paths:
-        candidates.update(path.nodes)
-    candidate_order = sorted(candidates)
-    inv_bw_total = 1.0 / graph.total_bandwidth if graph.total_bandwidth else 0.0
-    inv_pw_total = 1.0 / graph.total_p_max
-    inv_delay = 1.0 / request.max_delay
-    serves_self = request.duration_slots >= 2
-
-    hosts = [request.source]
-    routes = []
-    delay_ms = 0.0
-    used_cpu = [0.0] * len(graph.nodes)
-    used_mem = [0.0] * len(graph.nodes)
-    used_bw = [0.0] * len(graph.links)
-    idle_paid = [False] * len(graph.nodes)
-    for stage in range(1, len(request.vnfs)):
-        vnf = request.vnfs[stage]
-        bandwidth = request.edges[stage - 1].bandwidth
-        stage_candidates = (request.destination,) if stage == len(request.vnfs) - 1 else candidate_order
-        best_node = None
-        best_route = None
-        best_delay = 0.0
-        best_cost = None
-        for node_id in stage_candidates:
-            if not vnf.is_pseudo:
-                if view.mode[node_id] is Mode.OFF_UNAVAILABLE:
-                    continue
-                if view.free_cpu[node_id] - used_cpu[node_id] < vnf.cpu - 1e-9:
-                    continue
-                if view.free_mem[node_id] - used_mem[node_id] < vnf.memory - 1e-9:
-                    continue
-            route, new_delay = _pick_route(
-                graph.k_shortest_paths(hosts[-1], node_id, config.num_paths).paths,
-                view.free_bw,
-                used_bw,
-                bandwidth,
-                delay_ms,
-                vnf.exec_time,
-                request.max_delay,
-            )
-            if route is None:
-                continue
-            power_w = 0.0
-            if not vnf.is_pseudo:
-                mode = view.mode[node_id]
-                serves = serves_self or view.serves_next[node_id]
-                if mode is Mode.OFF_AVAILABLE:
-                    power_w = 0.0 if serves else view.p_max[node_id]
-                elif mode is Mode.IDLE and not serves:
-                    power_w = vnf.cpu * view.power_coeff[node_id]
-                    if view.idle_charge == "per_vnf" or not (view.idle_charged[node_id] or idle_paid[node_id]):
-                        power_w += view.p_idle[node_id]
-                else:
-                    power_w = vnf.cpu * view.power_coeff[node_id]
-            step_cost = (
-                weights.bw * (bandwidth * route.hop_count * inv_bw_total)
-                + weights.power * (power_w * inv_pw_total)
-                + weights.delay * ((route.total_delay + vnf.exec_time) * inv_delay)
-            )
-            if best_cost is None or step_cost < best_cost - 1e-15:
-                best_cost = step_cost
-                best_node = node_id
-                best_route = route
-                best_delay = new_delay
-        if best_node is None:
-            return None
-        if not vnf.is_pseudo:
-            used_cpu[best_node] += vnf.cpu
-            used_mem[best_node] += vnf.memory
-            if view.mode[best_node] is Mode.IDLE and not (serves_self or view.serves_next[best_node]):
-                idle_paid[best_node] = True
-        for link_index in best_route.links:
-            used_bw[link_index] += bandwidth
-        hosts.append(best_node)
-        routes.append(best_route)
-        delay_ms = best_delay
-    cost = evaluate_strategy(request, tuple(hosts), tuple(routes), graph, view, weights)
-    return Strategy(request.id, tuple(hosts), tuple(routes), True, cost)
+        corridor.update(path.nodes)
+    return _beam_search(request, sorted(corridor), view, graph, config, 1)

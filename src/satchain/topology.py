@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import networkx as nx
 
@@ -210,49 +210,13 @@ class NetworkGraph:
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> str:
-        doc = {
-            "nodes": [
-                {
-                    "id": n.id,
-                    "plane": n.plane,
-                    "slot_in_plane": n.slot_in_plane,
-                    "capacity": dict(n.capacity),
-                    "power": {
-                        "p_idle": n.power.p_idle,
-                        "p_max": n.power.p_max,
-                        "t_idle_max": n.power.t_idle_max,
-                        "t_off_min": n.power.t_off_min,
-                    },
-                }
-                for n in self.nodes
-            ],
-            "links": [
-                {
-                    "index": l.index,
-                    "u": l.u,
-                    "v": l.v,
-                    "bandwidth": l.bandwidth,
-                    "delay": l.delay,
-                    "distance": l.distance,
-                }
-                for l in self.links
-            ],
-        }
+        doc = {"nodes": [asdict(n) for n in self.nodes], "links": [asdict(l) for l in self.links]}
         return json.dumps(doc, indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "NetworkGraph":
         doc = json.loads(text)
-        nodes = [
-            SatelliteNode(
-                id=n["id"],
-                plane=n["plane"],
-                slot_in_plane=n["slot_in_plane"],
-                capacity=dict(n["capacity"]),
-                power=PowerParams(**n["power"]),
-            )
-            for n in doc["nodes"]
-        ]
+        nodes = [SatelliteNode(**{**n, "power": PowerParams(**n["power"])}) for n in doc["nodes"]]
         links = [Link(**l) for l in doc["links"]]
         return cls(nodes, links)
 

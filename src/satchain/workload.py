@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -170,34 +170,16 @@ def generate_requests(
 
 
 def request_to_dict(request: UserRequest) -> dict:
-    return {
-        "id": request.id,
-        "source": request.source,
-        "destination": request.destination,
-        "vnfs": [
-            {"cpu": v.cpu, "memory": v.memory, "exec_time": v.exec_time, "is_pseudo": v.is_pseudo}
-            for v in request.vnfs
-        ],
-        "edges": [
-            {"from_index": e.from_index, "to_index": e.to_index, "bandwidth": e.bandwidth}
-            for e in request.edges
-        ],
-        "max_delay": request.max_delay,
-        "arrival_slot": request.arrival_slot,
-        "duration_slots": request.duration_slots,
-    }
+    return asdict(request)
 
 
 def request_from_dict(doc: dict) -> UserRequest:
     return UserRequest(
-        id=doc["id"],
-        source=doc["source"],
-        destination=doc["destination"],
-        vnfs=tuple(VnfSpec(**v) for v in doc["vnfs"]),
-        edges=tuple(SfcEdge(**e) for e in doc["edges"]),
-        max_delay=doc["max_delay"],
-        arrival_slot=doc["arrival_slot"],
-        duration_slots=doc["duration_slots"],
+        **{
+            **doc,
+            "vnfs": tuple(VnfSpec(**v) for v in doc["vnfs"]),
+            "edges": tuple(SfcEdge(**e) for e in doc["edges"]),
+        }
     )
 
 

@@ -29,6 +29,15 @@ class TestPgraRun:
         assert network_payoff(profile) == 0.0
         assert trace.iterations == 1
         assert trace.rows[0].winner is None
+        assert trace.converged
+
+    def test_k_max_cut_off_is_not_converged(self, graph6):
+        requests = generate_requests(6, graph6, rng_seed=2, d=4)
+        config = GameConfig(k_max=2, placement=PlacementConfig(4, 4))
+        _, cut = pgra_run(requests, graph6, idle_context(graph6), config)
+        _, full = pgra_run(requests, graph6, idle_context(graph6), small_config())
+        assert cut.iterations == 2 and not cut.converged
+        assert full.converged and full.iterations > 2
 
     def test_single_request_plays_its_best_response(self, graph6):
         context = idle_context(graph6)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 from dataclasses import replace
 
 import pytest
@@ -54,6 +55,17 @@ class TestRunBatch:
     def test_validation_hook_runs_clean(self):
         config = SimulationConfig(requests=8, validate_each_step=True)
         run_batch(config, "pgra", seed=5)
+
+    def test_k_max_cut_off_warns(self):
+        with pytest.warns(RuntimeWarning, match="slot 0: pgra stopped at k_max=5"):
+            metrics = run_batch(SimulationConfig(k_max=5), "pgra", seed=0)
+        assert metrics.iterations == 5
+        assert metrics.allocated_fraction == 0.5
+
+    def test_converged_run_does_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_batch(SimulationConfig(requests=4), "pgra", seed=0)
 
 
 class TestOnlineSimulation:
@@ -213,6 +225,42 @@ class TestConfig:
     def test_rejects_bad_mode(self):
         with pytest.raises(ValueError):
             SimulationConfig(mode="replay")
+
+    def test_rejects_inverted_requests_per_slot(self):
+        with pytest.raises(ValueError, match="requests_per_slot"):
+            SimulationConfig(requests_per_slot=(10, 5))
+
+    def test_rejects_non_integer_requests_per_slot(self):
+        with pytest.raises(ValueError, match="requests_per_slot"):
+            SimulationConfig(requests_per_slot=(2.5, 5))
+
+    def test_rejects_negative_request_count(self):
+        with pytest.raises(ValueError, match="requests"):
+            SimulationConfig(requests=-1)
+
+    def test_rejects_negative_slot_count(self):
+        with pytest.raises(ValueError, match="slots"):
+            SimulationConfig(slots=-1)
+
+    def test_from_json_rejects_unknown_top_level_key(self):
+        doc = json.loads(SimulationConfig().to_json())
+        doc["beam"] = 2
+        with pytest.raises(ValueError, match="'beam' in the top level"):
+            SimulationConfig.from_json(json.dumps(doc))
+
+    def test_from_json_rejects_unknown_ranges_key(self):
+        doc = json.loads(SimulationConfig().to_json())
+        doc["ranges"]["gpu"] = [1, 2]
+        with pytest.raises(ValueError, match="'gpu' in section 'ranges'"):
+            SimulationConfig.from_json(json.dumps(doc))
+
+    def test_from_json_rejects_unknown_weights_key(self):
+        with pytest.raises(ValueError, match="'latency' in section 'weights'"):
+            SimulationConfig.from_json('{"weights": {"bw": 0.5, "power": 0.5, "latency": 0.0}}')
+
+    def test_from_json_keeps_defaults_for_absent_keys(self):
+        config = SimulationConfig.from_json('{"requests": 3, "ranges": {"cpu": [2, 3]}}')
+        assert config == SimulationConfig(requests=3, ranges=replace(SimulationConfig().ranges, cpu=(2, 3)))
 
 
 class TestCli:

@@ -187,6 +187,19 @@ class TestGreedyPlace:
         placed = greedy_place(request, profile, graph6, PlacementConfig(8, 4))
         assert placed.hosts[1] == 2
 
+    def test_equal_cost_tie_breaks_toward_fewer_hops(self):
+        # with no bandwidth weight, node 1 (two 1 ms hops away) and node 2 (one
+        # 2 ms hop away) cost the same; the beam order takes the shorter route
+        small, big = {"cpu": 2.0, "memory": 64.0}, {"cpu": 112.0, "memory": 64.0}
+        graph = make_graph(
+            4, [(0, 3, 1.0), (3, 1, 1.0), (0, 2, 2.0)], capacities=[small, big, big, small]
+        )
+        request = make_request(0, 0, 0, [(4.0, 4.0, 10.0)], max_delay=100.0)
+        profile = empty_profile(graph, idle_context(graph), request)
+        config = PlacementConfig(num_paths=4, beam_width=4, weights=Weights(0.0, 0.5, 0.5))
+        placed = greedy_place(request, profile, graph, config)
+        assert placed.hosts == (0, 2, 0)
+
     def test_never_beats_the_beam_search(self):
         rng = np.random.default_rng(99)
         for _ in range(25):
