@@ -11,20 +11,18 @@ from dataclasses import replace
 
 import numpy as np
 
-from .costing import ContextView, check_feasibility
+from .costing import ContextView, StrategyProfile, check_feasibility
 from .energy import Mode, PowerParams, ServerState, step_server_state
 from .game import is_nash, pgra_run, potential_identity_check
-from .harness import SimulationConfig, run_online
+from .harness import OnlineSimulation, SimulationConfig, run_online
 from .placement import viterbi_place
 from .workload import generate_requests
 
 
 def _instance(config: SimulationConfig, seed: int, m: int):
-    graph = config.build_graph()
-    from .harness import _fresh_context
-
-    requests = generate_requests(m, graph, config.ranges, seed, d=config.num_paths)
-    return graph, _fresh_context(graph, config), requests
+    sim = OnlineSimulation(config)
+    requests = generate_requests(m, sim.graph, config.ranges, seed, d=config.num_paths)
+    return sim.graph, sim.context(0), requests
 
 
 def check_potential_identity(seed: int = 0, instances: int = 4, triples: int = 50) -> tuple:
@@ -50,14 +48,8 @@ def check_potential_identity(seed: int = 0, instances: int = 4, triples: int = 5
 
 def check_beam_monotonicity(seed: int = 0, instances: int = 20) -> tuple:
     config = SimulationConfig()
-    graph = config.build_graph()
-    from .harness import _fresh_context
-
     for i in range(instances):
-        context = _fresh_context(graph, config)
-        requests = generate_requests(3, graph, config.ranges, seed + i, d=config.num_paths)
-        from .costing import StrategyProfile
-
+        graph, context, requests = _instance(config, seed + i, m=3)
         profile = StrategyProfile.empty(requests, context)
         target = requests[-1]
         path = graph.candidate_sd_paths(target.source, target.destination, config.num_paths).paths[0]

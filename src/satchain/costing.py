@@ -245,9 +245,7 @@ def energy_cost(strategy: Strategy, request: UserRequest, graph: NetworkGraph, v
     return energy_power_watts(strategy, request, view) / graph.total_p_max
 
 
-def user_payoff(bw: float, power: float, delay: float, weights: Weights, allocated: bool = True) -> float:
-    if not allocated:
-        return 0.0
+def user_payoff(bw: float, power: float, delay: float, weights: Weights) -> float:
     return 1.0 - weights.bw * bw - weights.power * power - weights.delay * delay
 
 

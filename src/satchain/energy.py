@@ -150,11 +150,9 @@ class ServerFleet:
     at maximum power.
     """
 
-    def __init__(self, params_by_node: dict[int, PowerParams], initial_slot: int = 0):
+    def __init__(self, params_by_node: dict[int, PowerParams]):
         self.params = params_by_node
-        self.states: dict[int, ServerState] = {
-            n: ServerState(Mode.IDLE, idle_since=initial_slot) for n in params_by_node
-        }
+        self.states: dict[int, ServerState] = {n: ServerState(Mode.IDLE, idle_since=0) for n in params_by_node}
         self._setup_nodes: set[int] = set()
         self.timeline: list[tuple[int, int, str, float]] = []
 

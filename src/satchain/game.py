@@ -67,6 +67,21 @@ class GameTrace:
                 )
 
 
+def _improving_move(request, profile: StrategyProfile, graph: NetworkGraph, config: GameConfig):
+    """(best response, payoff gain) when it is a move, else None.
+
+    A best response that merely re-prices the current placement under a
+    shifted context is not a move; only a structurally different proposal
+    with a payoff gain above epsilon counts.
+    """
+    current = profile.strategies[request.id]
+    proposal = best_response(request, profile, graph, config.placement)
+    if proposal is None or proposal.same_placement(current):
+        return None
+    gain = proposal.payoff - current.payoff
+    return (proposal, gain) if gain > config.epsilon else None
+
+
 def pgra_run(
     requests: list,
     graph: NetworkGraph,
@@ -90,14 +105,10 @@ def pgra_run(
         winner: Strategy | None = None
         proposals = 0
         for rid in order:
-            request = profile.requests[rid]
-            current = profile.strategies[rid]
-            proposal = best_response(request, profile, graph, config.placement)
-            if proposal is None or proposal.same_placement(current):
+            move = _improving_move(profile.requests[rid], profile, graph, config)
+            if move is None:
                 continue
-            improvement = proposal.payoff - current.payoff
-            if improvement <= config.epsilon:
-                continue
+            proposal, improvement = move
             proposals += 1
             if winner is None or improvement > best_improvement:
                 best_improvement = improvement
@@ -116,20 +127,10 @@ def pgra_run(
 
 
 def is_nash(profile: StrategyProfile, graph: NetworkGraph, config: GameConfig) -> bool:
-    """True when no request has an improving unilateral change left.
-
-    A best response that merely re-prices the current placement under a
-    shifted context is not a deviation; only a structurally different
-    proposal with a payoff gain above epsilon counts.
-    """
-    for rid in sorted(profile.requests):
-        current = profile.strategies[rid]
-        proposal = best_response(profile.requests[rid], profile, graph, config.placement)
-        if proposal is None or proposal.same_placement(current):
-            continue
-        if proposal.payoff > current.payoff + config.epsilon:
-            return False
-    return True
+    """True when no request has an improving unilateral move left."""
+    return all(
+        _improving_move(profile.requests[rid], profile, graph, config) is None for rid in sorted(profile.requests)
+    )
 
 
 def potential_identity_check(profile: StrategyProfile, request_id: int, alternative: Strategy) -> float:

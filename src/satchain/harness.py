@@ -26,7 +26,7 @@ from .costing import (
     check_feasibility,
     network_payoff,
 )
-from .energy import Mode, PowerParams, ServerFleet, ServerState
+from .energy import PowerParams, ServerFleet
 from .game import GameConfig, pgra_run
 from .placement import PlacementConfig, best_response, greedy_place
 from .topology import NetworkGraph, build_constellation
@@ -139,11 +139,6 @@ class SlotMetrics:
     iterations: int
 
 
-def _fresh_context(graph: NetworkGraph, config: SimulationConfig, slot: int = 0) -> SlotContext:
-    states = {n.id: ServerState(Mode.IDLE, idle_since=slot) for n in graph.nodes}
-    return SlotContext(slot, states, [], config.idle_charge)
-
-
 def _assert_feasible(profile: StrategyProfile, graph: NetworkGraph, what: str) -> None:
     violations = check_feasibility(profile, graph)
     if violations:
@@ -201,17 +196,10 @@ def _metrics(profile: StrategyProfile, slot, algorithm, seed, iterations) -> Slo
 
 
 def run_batch(config: SimulationConfig, algorithm: str, seed: int, graph: NetworkGraph | None = None) -> SlotMetrics:
-    """One slot, one batch of requests, one allocation algorithm."""
-    if graph is None:
-        graph = config.build_graph()
-    context = _fresh_context(graph, config)
-    requests = generate_requests(
-        config.requests, graph, config.ranges, seed, slot=0, d=config.num_paths
-    )
-    profile, iterations = _allocate(algorithm, requests, graph, context, config)
-    if config.validate_each_step:
-        _assert_feasible(profile, graph, "infeasible final profile")
-    return _metrics(profile, 0, algorithm, seed, iterations)
+    """One batch of requests, one allocation algorithm: slot 0 of an on-line run."""
+    sim = OnlineSimulation(config, graph)
+    requests = generate_requests(config.requests, sim.graph, config.ranges, seed, slot=0, d=config.num_paths)
+    return sim.step(0, requests, algorithm, seed)
 
 
 class OnlineSimulation:
@@ -228,23 +216,29 @@ class OnlineSimulation:
         self.config = config
         self.graph = graph if graph is not None else config.build_graph()
         self.fleet = ServerFleet({n.id: n.power for n in self.graph.nodes})
+        self._capacity_cpu = {n.id: n.capacity["cpu"] for n in self.graph.nodes}
         self.running: list = []
         self.next_id = 0
 
-    def _nodes_serving(self) -> set:
-        serving = set()
+    def context(self, slot: int) -> SlotContext:
+        """What a placement decision in `slot` sees: server states and the running set."""
+        return SlotContext(slot, dict(self.fleet.states), list(self.running), self.config.idle_charge)
+
+    def _cpu_by_host(self) -> dict:
+        """CPU the running set allocates per host; the keys are the serving hosts."""
+        cpu: dict = {}
         for placement in self.running:
             for i, vnf in enumerate(placement.request.vnfs):
                 if not vnf.is_pseudo:
-                    serving.add(placement.strategy.hosts[i])
-        return serving
+                    host = placement.strategy.hosts[i]
+                    cpu[host] = cpu.get(host, 0.0) + vnf.cpu
+        return cpu
 
     def step(self, slot: int, new_requests: list, algorithm: str, seed: int) -> SlotMetrics:
         self.running = [p for p in self.running if p.end_slot >= slot]
         if slot > 0:
-            self.fleet.advance(self._nodes_serving(), slot)
-        context = SlotContext(slot, dict(self.fleet.states), list(self.running), self.config.idle_charge)
-        profile, iterations = _allocate(algorithm, new_requests, self.graph, context, self.config)
+            self.fleet.advance(set(self._cpu_by_host()), slot)
+        profile, iterations = _allocate(algorithm, new_requests, self.graph, self.context(slot), self.config)
         if self.config.validate_each_step:
             _assert_feasible(profile, self.graph, f"slot {slot}: infeasible profile")
         for rid in profile.allocated_ids():
@@ -252,14 +246,9 @@ class OnlineSimulation:
             self.running.append(
                 CommittedPlacement(request, profile.strategies[rid], slot, slot + request.duration_slots - 1)
             )
-        self.fleet.mark_service(self._nodes_serving())
-        allocated_cpu: dict = {}
-        for placement in self.running:
-            for i, vnf in enumerate(placement.request.vnfs):
-                if not vnf.is_pseudo:
-                    host = placement.strategy.hosts[i]
-                    allocated_cpu[host] = allocated_cpu.get(host, 0.0) + vnf.cpu
-        self.fleet.record(slot, allocated_cpu, {n.id: n.capacity["cpu"] for n in self.graph.nodes})
+        allocated_cpu = self._cpu_by_host()
+        self.fleet.mark_service(set(allocated_cpu))
+        self.fleet.record(slot, allocated_cpu, self._capacity_cpu)
         return _metrics(profile, slot, algorithm, seed, iterations)
 
 

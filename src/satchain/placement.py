@@ -164,6 +164,9 @@ def _beam_search(
                 used_mem = state.used_mem
                 idle_paid = state.idle_paid
                 if not vnf.is_pseudo:
+                    # energy.vnf_power_attribution's rule, inline: a call here gives the same bytes but
+                    # ran viterbi_place up to 1.13x slower (12 nodes, 2-vCPU Xeon).  The oracle test
+                    # test_unlimited_beam_matches_exhaustive_search checks the two agree per server mode.
                     mode = view.mode[node_id]
                     serves = serves_self or view.serves_next[node_id]
                     if mode is Mode.OFF_AVAILABLE:

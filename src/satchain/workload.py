@@ -77,10 +77,6 @@ class UserRequest:
     def total_exec_time(self) -> float:
         return math.fsum(v.exec_time for v in self.vnfs)
 
-    @property
-    def total_cpu(self) -> float:
-        return sum(v.cpu for v in self.vnfs)
-
 
 @dataclass(frozen=True)
 class WorkloadRanges:
@@ -110,9 +106,7 @@ def _acceptable_delay(source: int, destination: int, exec_total: float, graph: N
 
 def max_acceptable_delay(request: UserRequest, graph: NetworkGraph, d: int) -> float:
     """Delay budget: total execution time plus the mean candidate-path delay."""
-    return _acceptable_delay(
-        request.source, request.destination, math.fsum(v.exec_time for v in request.real_vnfs), graph, d
-    )
+    return _acceptable_delay(request.source, request.destination, request.total_exec_time, graph, d)
 
 
 def generate_requests(

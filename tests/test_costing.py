@@ -138,7 +138,6 @@ class TestPayoff:
     def test_unallocated_payoff_is_zero(self):
         strategy = Strategy.unallocated(9)
         assert strategy.payoff == 0.0
-        assert user_payoff(0.5, 0.5, 0.5, Weights(), allocated=False) == 0.0
 
     def test_costless_allocation_pays_one(self):
         assert user_payoff(0.0, 0.0, 0.0, Weights()) == 1.0

@@ -6,7 +6,7 @@ from satchain.energy import Mode, ServerState
 from satchain.placement import PlacementConfig, best_response, greedy_place, viterbi_place
 from satchain.workload import generate_requests
 
-from conftest import idle_context, make_graph, make_request, ring_graph
+from conftest import idle_context, make_graph, make_request
 from oracles import enumerate_best_placement
 
 
@@ -18,17 +18,31 @@ def fresh_view(graph, profile, request):
     return ContextView.build(graph, profile, exclude=request.id)
 
 
+MODES = (Mode.IDLE, Mode.ON, Mode.OFF_AVAILABLE, Mode.OFF_UNAVAILABLE)
+
+
 def random_micro_instance(rng):
-    """A small ring with mixed delays, light load, and one micro request."""
+    """A small ring with mixed delays, light load, and one micro request.
+
+    Every server is in a random mode under a random idle-charging rule, and
+    the returned view also sets next-slot service and idle-baseline ownership
+    at random, so the kernel's power rule meets every case of
+    `vnf_power_attribution`.  Returns (graph, context, request, view).
+    """
     n = int(rng.integers(3, 5))
     delays = [float(rng.integers(1, 5)) for _ in range(n)]
-    graph = ring_graph(n, delay=1.0)
     graph = make_graph(
         n,
         [(i, (i + 1) % n, delays[i]) for i in range(n)],
         capacity={"cpu": float(rng.integers(8, 20)), "memory": 64.0},
     )
-    context = idle_context(graph)
+    context = idle_context(graph, slot=2, idle_charge=("once", "per_vnf")[int(rng.integers(2))])
+    for node in graph.nodes:
+        mode = MODES[int(rng.integers(len(MODES)))]
+        if mode is Mode.IDLE:
+            context.server_states[node.id] = ServerState(mode, idle_since=1)
+        else:
+            context.server_states[node.id] = ServerState(mode, off_since=0 if mode is Mode.OFF_AVAILABLE else 2)
     n_vnfs = int(rng.integers(1, 4))
     specs = [
         (float(rng.integers(2, 6)), float(rng.integers(1, 5)), float(rng.integers(5, 15)))
@@ -45,7 +59,10 @@ def random_micro_instance(rng):
         max_delay=float(rng.integers(40, 120)),
         duration=int(rng.integers(1, 3)),
     )
-    return graph, context, request
+    view = fresh_view(graph, empty_profile(graph, context, request), request)
+    view.serves_next = [bool(rng.integers(2)) for _ in range(n)]
+    view.idle_charged = [bool(rng.integers(2)) for _ in range(n)]
+    return graph, context, request, view
 
 
 class TestViterbiPlace:
@@ -80,10 +97,8 @@ class TestViterbiPlace:
         rng = np.random.default_rng(77)
         config = PlacementConfig(num_paths=2, beam_width=None)
         checked = 0
-        for _ in range(30):
-            graph, context, request = random_micro_instance(rng)
-            profile = empty_profile(graph, context, request)
-            view = fresh_view(graph, profile, request)
+        for _ in range(400):
+            graph, _, request, view = random_micro_instance(rng)
             for path in graph.candidate_sd_paths(request.source, request.destination, 2).paths:
                 expected = enumerate_best_placement(request, path, view, graph, 2, Weights())
                 got = viterbi_place(request, path, view, graph, config)
@@ -94,14 +109,12 @@ class TestViterbiPlace:
                 assert got is not None
                 assert abs(got.cost.payoff - expected[0]) <= 1e-12
                 assert got.hosts == expected[1]
-        assert checked >= 20
+        assert checked >= 500
 
     def test_beam_width_monotonicity(self):
         rng = np.random.default_rng(5)
         for _ in range(25):
-            graph, context, request = random_micro_instance(rng)
-            profile = empty_profile(graph, context, request)
-            view = fresh_view(graph, profile, request)
+            graph, _, request, view = random_micro_instance(rng)
             path = graph.candidate_sd_paths(request.source, request.destination, 2).paths[-1]
             payoffs = []
             for beam in (1, 2, 4, 8):
@@ -203,7 +216,7 @@ class TestGreedyPlace:
     def test_never_beats_the_beam_search(self):
         rng = np.random.default_rng(99)
         for _ in range(25):
-            graph, context, request = random_micro_instance(rng)
+            graph, context, request, _ = random_micro_instance(rng)
             profile = empty_profile(graph, context, request)
             config = PlacementConfig(num_paths=2, beam_width=None)
             beam = best_response(request, profile, graph, config)
