@@ -38,8 +38,9 @@ class PowerParams:
     def __post_init__(self):
         if not 0 < self.p_idle < self.p_max:
             raise ValueError("require 0 < p_idle < p_max")
-        if self.t_idle_max < 1 or self.t_off_min < 1:
-            raise ValueError("idle/off thresholds must be at least 1 slot")
+        for name in ("t_idle_max", "t_off_min"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1 slot")
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ request can improve by changing only its own strategy.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 from .costing import StrategyProfile, SlotContext, Strategy, network_payoff
 from .placement import PlacementConfig, best_response
@@ -60,11 +60,8 @@ class GameTrace:
     def to_csv(self, path: str) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["iteration", "winner", "phi", "improvement"])
-            for row in self.rows:
-                writer.writerow(
-                    [row.iteration, "" if row.winner is None else row.winner, repr(row.phi_after), repr(row.improvement)]
-                )
+            writer.writerow(f.name for f in fields(IterationRecord))
+            writer.writerows(astuple(row) for row in self.rows)
 
 
 def _improving_move(request, profile: StrategyProfile, graph: NetworkGraph, config: GameConfig):

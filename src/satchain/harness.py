@@ -79,6 +79,9 @@ class SimulationConfig:
             and 0 <= bounds[0] <= bounds[1]
         ):
             raise ValueError(f"requests_per_slot must be two ints lo, hi with 0 <= lo <= hi, not {bounds!r}")
+        # the derived configs check their own fields (game_config builds placement_config)
+        self.game_config()
+        self.power_params()
 
     def with_nodes(self, total: int) -> "SimulationConfig":
         if total % self.planes:

@@ -34,9 +34,9 @@ class PlacementConfig:
 
     def __post_init__(self):
         if self.num_paths < 1:
-            raise ValueError("need at least one candidate path")
+            raise ValueError("num_paths must be >= 1")
         if self.beam_width is not None and self.beam_width < 1:
-            raise ValueError("beam width must be >= 1 (or None for unlimited)")
+            raise ValueError("beam_width must be >= 1 (or None for unlimited)")
 
 
 @dataclass(slots=True)

@@ -1,33 +1,29 @@
 """Acceptance suite: one check per headline guarantee, one PASS line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines.  The heavy experiment-level checks share one constellation graph so
+lines.  Tests 1, 2, 4, 5 and 9 run the `satchain.checks` suites at the gate's
+scale; the experiment-level tests 6 to 8 share one constellation graph so
 path caches are reused across runs.
 """
 
-import math
 import time
 from dataclasses import replace
 from statistics import fmean
 
 import numpy as np
-import pytest
 
-from satchain.costing import (
-    ContextView,
-    Strategy,
-    StrategyProfile,
-    Weights,
-    bandwidth_cost,
-    check_feasibility,
+from satchain.checks import (
+    check_beam_monotonicity,
+    check_feasibility_invariance,
+    check_nash_convergence,
+    check_potential_identity,
+    check_server_lifecycle,
 )
-from satchain.energy import Mode, PowerParams, ServerFleet, ServerState
-from satchain.game import GameConfig, is_nash, pgra_run
-from satchain.harness import SimulationConfig, derive_seed, run_batch, run_online, run_taguchi
-from satchain.placement import PlacementConfig, best_response, viterbi_place
-from satchain.workload import generate_requests
+from satchain.costing import ContextView, Strategy, StrategyProfile, Weights, bandwidth_cost
+from satchain.harness import SimulationConfig, run_batch, run_taguchi
+from satchain.placement import PlacementConfig, viterbi_place
 
-from conftest import idle_context, make_graph, make_request, ring_graph
+from conftest import idle_context, make_request, random_micro_instance, ring_graph
 from oracles import enumerate_best_placement
 
 BASE = SimulationConfig()
@@ -39,82 +35,16 @@ def report(name, ok, detail=""):
     assert ok, f"{name}: {detail}"
 
 
-def pgra_instance(seed, m, config=BASE):
-    context = idle_context(GRAPH6)
-    requests = generate_requests(m, GRAPH6, config.ranges, seed, d=config.num_paths)
-    profile, trace = pgra_run(requests, GRAPH6, context, config.game_config())
-    return profile, trace
-
-
 def test_1_exact_potential_identity():
     started = time.perf_counter()
-    config = BASE
-    worst = 0.0
-    triples = 0
-    for seed in range(10):
-        profile, _ = pgra_instance(seed, m=10)
-        rng = np.random.default_rng(seed)
-        ids = sorted(profile.requests)
-        from satchain.game import potential_identity_check
-
-        for _ in range(100):
-            rid = ids[int(rng.integers(len(ids)))]
-            request = profile.requests[rid]
-            paths = GRAPH6.candidate_sd_paths(request.source, request.destination, config.num_paths).paths
-            path = paths[int(rng.integers(len(paths)))]
-            view = ContextView.build(GRAPH6, profile, exclude=rid)
-            alt = viterbi_place(request, path, view, GRAPH6, config.placement_config())
-            if alt is None:
-                alt = Strategy.unallocated(rid)
-            worst = max(worst, potential_identity_check(profile, rid, alt))
-            triples += 1
+    ok, detail, checked = check_potential_identity(seed=0, instances=10, triples=100)
     elapsed = time.perf_counter() - started
-    report(
-        "exact potential identity",
-        triples >= 1000 and worst <= 1e-12 and elapsed < 30.0,
-        f"{triples} deviations, max residual {worst:.2e}, {elapsed:.1f}s",
-    )
+    report("exact potential identity", ok and checked >= 1000 and elapsed < 30.0, f"{detail}, {elapsed:.1f}s")
 
 
 def test_2_nash_convergence():
-    config = BASE
-    runs = 0
-    for m in (5, 10, 15, 20):
-        for seed in range(10):
-            profile, trace = pgra_instance(seed, m)
-            rows = trace.rows
-            assert trace.iterations < config.k_max, f"M={m} seed={seed} hit the iteration cap"
-            assert rows[-1].winner is None, "run did not end on a no-improvement round"
-            for row in rows[:-1]:
-                assert row.phi_after > row.phi_before, "committed round did not raise the payoff"
-            for before, after in zip(rows, rows[1:]):
-                assert after.phi_before == before.phi_after
-            assert is_nash(profile, GRAPH6, config.game_config()), f"M={m} seed={seed} not an equilibrium"
-            runs += 1
-    report("equilibrium convergence", runs == 40, f"{runs}/40 runs converged to an equilibrium")
-
-
-def _micro_instance(rng):
-    n = int(rng.integers(3, 5))
-    graph = make_graph(
-        n,
-        [(i, (i + 1) % n, float(rng.integers(1, 5))) for i in range(n)],
-        capacity={"cpu": float(rng.integers(8, 20)), "memory": 64.0},
-    )
-    specs = [
-        (float(rng.integers(2, 6)), float(rng.integers(1, 5)), float(rng.integers(5, 15)))
-        for _ in range(int(rng.integers(1, 4)))
-    ]
-    request = make_request(
-        0,
-        int(rng.integers(n)),
-        int(rng.integers(n)),
-        specs,
-        edge_bw=float(rng.integers(10, 31)),
-        max_delay=float(rng.integers(40, 120)),
-        duration=int(rng.integers(1, 3)),
-    )
-    return graph, request
+    ok, detail, checked = check_nash_convergence(seed=0, loads=(5, 10, 15, 20), instances=10)
+    report("equilibrium convergence", ok and checked == 40, detail)
 
 
 def test_3_beam_search_matches_exhaustive_optimum():
@@ -124,9 +54,7 @@ def test_3_beam_search_matches_exhaustive_optimum():
     compared = 0
     worst = 0.0
     while compared < 50:
-        graph, request = _micro_instance(rng)
-        profile = StrategyProfile.empty([request], idle_context(graph))
-        view = ContextView.build(graph, profile, exclude=request.id)
+        graph, _, request, view = random_micro_instance(rng)
         for path in graph.candidate_sd_paths(request.source, request.destination, 2).paths:
             expected = enumerate_best_placement(request, path, view, graph, 2, Weights())
             got = viterbi_place(request, path, view, graph, config)
@@ -134,6 +62,7 @@ def test_3_beam_search_matches_exhaustive_optimum():
                 assert got is None
                 continue
             assert got is not None, "beam search missed a feasible placement"
+            assert got.hosts == expected[1], f"hosts {got.hosts} differ from the optimum {expected[1]}"
             worst = max(worst, abs(got.cost.payoff - expected[0]))
             compared += 1
     elapsed = time.perf_counter() - started
@@ -145,65 +74,13 @@ def test_3_beam_search_matches_exhaustive_optimum():
 
 
 def test_4_beam_width_monotone():
-    config = BASE
-    checked = 0
-    for seed in range(100):
-        context = idle_context(GRAPH6)
-        requests = generate_requests(5, GRAPH6, config.ranges, seed, d=config.num_paths)
-        profile = StrategyProfile.empty(requests, context)
-        pcfg = config.placement_config()
-        for request in requests[:3]:
-            strategy = best_response(request, profile, GRAPH6, pcfg)
-            if strategy is not None:
-                profile.strategies[request.id] = strategy
-        target = requests[3]
-        path = GRAPH6.candidate_sd_paths(target.source, target.destination, config.num_paths).paths[0]
-        view = ContextView.build(GRAPH6, profile, exclude=target.id)
-        payoffs = []
-        for beam in (1, 4, 8):
-            placed = viterbi_place(target, path, view, GRAPH6, replace(pcfg, beam_width=beam))
-            payoffs.append(-math.inf if placed is None else placed.cost.payoff)
-        assert payoffs[0] <= payoffs[1] <= payoffs[2], f"seed {seed}: {payoffs}"
-        checked += 1
-    report("wider beams never lose payoff", checked == 100, "100 instances, widths 1 <= 4 <= 8, exact")
-
-
-def _constraint_count(profile):
-    allocated = profile.allocated_ids()
-    per_request = sum(
-        3 + sum(1 for v in profile.requests[rid].vnfs if not v.is_pseudo) for rid in allocated
-    )
-    n = len(GRAPH6.nodes)
-    return per_request + 2 * n + len(GRAPH6.links) + n
+    ok, detail, checked = check_beam_monotonicity(seed=0, instances=100)
+    report("wider beams never lose payoff", ok and checked == 100, detail)
 
 
 def test_5_feasibility_invariance():
-    config = BASE
-    checks = 0
-    violations = 0
-
-    def on_commit(profile):
-        nonlocal checks, violations
-        violations += len(check_feasibility(profile, GRAPH6))
-        checks += _constraint_count(profile)
-
-    for m in (10, 20):
-        for seed in range(5):
-            context = idle_context(GRAPH6)
-            requests = generate_requests(m, GRAPH6, config.ranges, seed, d=config.num_paths)
-            profile, _ = pgra_run(requests, GRAPH6, context, config.game_config(), on_commit=on_commit)
-            violations += len(check_feasibility(profile, GRAPH6))
-            checks += _constraint_count(profile)
-    online_cfg = replace(config, mode="online", slots=50, validate_each_step=True)
-    per_slot_floor = 3 * len(GRAPH6.nodes) + len(GRAPH6.links)  # node caps, server timing, links
-    for seed in (0, 1):
-        for _ in run_online(online_cfg, "pgra", seed):
-            checks += per_slot_floor  # validated inside every slot; lower bound
-    report(
-        "feasibility holds at every commit and slot",
-        violations == 0 and checks >= 10_000,
-        f"{checks} constraint checks, {violations} violations",
-    )
+    ok, detail, checked = check_feasibility_invariance(seed=0, loads=(10, 20), instances=5, slots=50, online_runs=2)
+    report("feasibility holds at every commit and slot", ok and checked >= 240, detail)
 
 
 def test_6_outperforms_baselines():
@@ -264,30 +141,8 @@ def test_8_sweep_prefers_wide_search():
 
 
 def test_9_server_lifecycle_trace():
-    params = PowerParams(49.9, 415.0, 3, 1)
-    fleet = ServerFleet({0: params})
-    capacity = {0: 112.0}
-    fleet.mark_service({0})  # serving in slot 0
-    fleet.record(0, {0: 8.0}, capacity)
-    for slot in (1, 2, 3, 4, 5):
-        fleet.advance(set(), slot)
-        fleet.record(slot, {}, capacity)
-    fleet.mark_service({0})  # restarts during slot 5
-    fleet.record(5, {0: 8.0}, capacity)
-    expected = [
-        (0, 0, "on", 49.9 + (8.0 / 112.0) * 365.1),
-        (1, 0, "idle", 49.9),
-        (2, 0, "idle", 49.9),
-        (3, 0, "idle", 49.9),
-        (4, 0, "off_unavailable", 0.0),
-        (5, 0, "off_available", 0.0),
-        (5, 0, "setup", 415.0),
-    ]
-    report(
-        "server lifecycle trace matches the script",
-        fleet.timeline == expected,
-        "idle 3 slots -> off at slot 4, restartable at 5, setup slot at 415 W",
-    )
+    ok, detail, checked = check_server_lifecycle(seed=0)
+    report("server lifecycle trace matches the script", ok and checked == 7, detail)
 
 
 def test_10_spot_arithmetic():

@@ -111,7 +111,7 @@ class TestPgraRun:
         out = tmp_path / "trace.csv"
         trace.to_csv(str(out))
         lines = out.read_text().strip().splitlines()
-        assert lines[0] == "iteration,winner,phi,improvement"
+        assert lines[0] == "iteration,winner,phi_before,phi_after,improvement,proposals"
         assert len(lines) == trace.iterations + 1
 
 

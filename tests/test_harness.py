@@ -242,6 +242,16 @@ class TestConfig:
         with pytest.raises(ValueError, match="slots"):
             SimulationConfig(slots=-1)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("num_paths", 0), ("beam_width", 0), ("k_max", 0), ("p_idle", 500.0), ("t_idle_max", 0), ("t_off_min", 0)],
+    )
+    def test_bad_derived_value_fails_at_construction_naming_the_key(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            SimulationConfig(**{key: value})
+        with pytest.raises(ValueError, match=key):
+            SimulationConfig.from_json(json.dumps({key: value}))
+
     def test_from_json_rejects_unknown_top_level_key(self):
         doc = json.loads(SimulationConfig().to_json())
         doc["beam"] = 2
@@ -306,8 +316,13 @@ class TestCli:
     def test_check_runs_property_suites(self, capsys):
         assert main(["check", "--seed", "1"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
-        assert len(lines) == 4
-        assert all(line.startswith("PASS") for line in lines)
+        assert [line.split(":")[0] for line in lines] == [
+            "PASS potential-identity",
+            "PASS nash-convergence",
+            "PASS beam-monotonicity",
+            "PASS feasibility-invariance",
+            "PASS server-lifecycle",
+        ]
 
     def test_taguchi_smoke(self, capsys):
         code = main(

@@ -6,7 +6,7 @@ from satchain.energy import Mode, ServerState
 from satchain.placement import PlacementConfig, best_response, greedy_place, viterbi_place
 from satchain.workload import generate_requests
 
-from conftest import idle_context, make_graph, make_request
+from conftest import idle_context, make_graph, make_request, random_micro_instance
 from oracles import enumerate_best_placement
 
 
@@ -16,53 +16,6 @@ def empty_profile(graph, context, *requests):
 
 def fresh_view(graph, profile, request):
     return ContextView.build(graph, profile, exclude=request.id)
-
-
-MODES = (Mode.IDLE, Mode.ON, Mode.OFF_AVAILABLE, Mode.OFF_UNAVAILABLE)
-
-
-def random_micro_instance(rng):
-    """A small ring with mixed delays, light load, and one micro request.
-
-    Every server is in a random mode under a random idle-charging rule, and
-    the returned view also sets next-slot service and idle-baseline ownership
-    at random, so the kernel's power rule meets every case of
-    `vnf_power_attribution`.  Returns (graph, context, request, view).
-    """
-    n = int(rng.integers(3, 5))
-    delays = [float(rng.integers(1, 5)) for _ in range(n)]
-    graph = make_graph(
-        n,
-        [(i, (i + 1) % n, delays[i]) for i in range(n)],
-        capacity={"cpu": float(rng.integers(8, 20)), "memory": 64.0},
-    )
-    context = idle_context(graph, slot=2, idle_charge=("once", "per_vnf")[int(rng.integers(2))])
-    for node in graph.nodes:
-        mode = MODES[int(rng.integers(len(MODES)))]
-        if mode is Mode.IDLE:
-            context.server_states[node.id] = ServerState(mode, idle_since=1)
-        else:
-            context.server_states[node.id] = ServerState(mode, off_since=0 if mode is Mode.OFF_AVAILABLE else 2)
-    n_vnfs = int(rng.integers(1, 4))
-    specs = [
-        (float(rng.integers(2, 6)), float(rng.integers(1, 5)), float(rng.integers(5, 15)))
-        for _ in range(n_vnfs)
-    ]
-    source = int(rng.integers(n))
-    dest = int(rng.integers(n))
-    request = make_request(
-        0,
-        source,
-        dest,
-        specs,
-        edge_bw=float(rng.integers(10, 31)),
-        max_delay=float(rng.integers(40, 120)),
-        duration=int(rng.integers(1, 3)),
-    )
-    view = fresh_view(graph, empty_profile(graph, context, request), request)
-    view.serves_next = [bool(rng.integers(2)) for _ in range(n)]
-    view.idle_charged = [bool(rng.integers(2)) for _ in range(n)]
-    return graph, context, request, view
 
 
 class TestViterbiPlace:
