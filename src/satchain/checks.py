@@ -114,9 +114,16 @@ def check_feasibility_invariance(
             profile, _ = pgra_run(requests, graph, context, config.game_config(), on_commit=audit)
             audit(profile)
     online = replace(config, mode="online", slots=slots, validate_each_step=True)
+    failures = []
     for r in range(online_runs):
-        checked += len(run_online(online, "pgra", seed + r))  # each slot raises on a violation
-    return violations == 0, f"{checked} feasibility checkpoints, {violations} violations", checked
+        try:
+            checked += len(run_online(online, "pgra", seed + r))
+        except AssertionError as exc:  # a validated run stops at its first infeasible slot
+            checked += 1
+            violations += 1
+            failures.append(f"; on-line seed {seed + r}: {exc}")
+    detail = f"{checked} feasibility checkpoints, {violations} violations" + "".join(failures)
+    return violations == 0, detail, checked
 
 
 def check_server_lifecycle(seed: int = 0) -> tuple:

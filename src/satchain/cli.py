@@ -73,17 +73,19 @@ def main(argv=None) -> int:
     check.add_argument("--seed", type=int, default=0)
 
     args = parser.parse_args(argv)
+    if args.command in ("batch", "online", "taguchi"):
+        try:
+            config = _load_config(args, "online" if args.command == "online" else "batch")
+        except ValueError as exc:  # a bad value from a flag or the config file
+            sub.choices[args.command].error(str(exc))
 
     if args.command == "batch":
-        config = _load_config(args, "batch")
         _write([run_batch(config, args.algorithm, args.seed)], args)
         return 0
     if args.command == "online":
-        config = _load_config(args, "online")
         _write(run_online(config, args.algorithm, args.seed), args)
         return 0
     if args.command == "taguchi":
-        config = _load_config(args, "batch")
         levels = lambda text: tuple(int(v) for v in text.split(","))
         result = run_taguchi(
             config,

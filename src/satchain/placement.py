@@ -8,12 +8,11 @@ nodes of one candidate source-to-destination path, for `greedy_place` the
 union of all candidate corridors.  Hosts need not advance monotonically
 along it.  The route between two consecutive hosts is not forced to follow
 the corridor: it is the first entry of the ranked shortest-path set between
-the hosts that keeps the partial placement feasible (link bandwidth with
-traversal multiplicity, and the running delay within budget).  After each
-stage the partial placements are ranked by payoff, ties broken by fewer hops
-then lexicographic host sequence, and truncated to the beam width;
-truncation keeps a prefix of a fixed total order, so a wider beam never does
-worse.
+the hosts that keeps the partial placement feasible (link bandwidth and the
+running delay within budget).  After each stage the partial placements are
+ranked by payoff, ties broken by fewer hops then lexicographic host sequence,
+and truncated to the beam width; truncation keeps a prefix of a fixed total
+order, so a wider beam never does worse.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ class _Beam:
     power_w: float
     delay_ms: float
     hops: int
-    payoff: float
     used_cpu: list
     used_mem: list
     used_bw: list
@@ -60,25 +58,18 @@ def _pick_route(routes, free_bw, used_bw, bandwidth, delay_so_far, exec_time, ma
     """First ranked route that fits the bandwidth headroom and delay budget.
 
     Routes are ranked by delay, so once the budget is blown no later entry
-    can fit.  A route may traverse one link several times; every traversal
-    consumes bandwidth.
+    can fit.  Routes come from `k_shortest_paths` and are loopless, so each
+    link is traversed once.
     """
     for route in routes:
         new_delay = delay_so_far + route.total_delay + exec_time
         if new_delay > max_delay:
             return None, 0.0
-        if route.links:
-            needed: dict = {}
-            for link_index in route.links:
-                needed[link_index] = needed.get(link_index, 0.0) + bandwidth
-            ok = True
-            for link_index, amount in needed.items():
-                if free_bw[link_index] - used_bw[link_index] < amount - 1e-9:
-                    ok = False
-                    break
-            if not ok:
-                continue
-        return route, new_delay
+        for link_index in route.links:
+            if free_bw[link_index] - used_bw[link_index] < bandwidth - 1e-9:
+                break
+        else:
+            return route, new_delay
     return None, 0.0
 
 
@@ -93,12 +84,13 @@ def _beam_search(
     """Best placement found keeping `beam_width` partial placements per stage
     (None keeps all), with intermediate hosts drawn from the sorted `corridor`.
 
+    Each expansion is first scored as a tuple that sorts by the beam order;
+    usage lists are copied only for the expansions that survive truncation.
     Returns None when every partial placement dies (no feasible completion).
     """
     vnfs = request.vnfs
     edges = request.edges
     n_nodes = len(graph.nodes)
-    n_links = len(graph.links)
     weights = config.weights
     inv_bw_total = 1.0 / graph.total_bandwidth if graph.total_bandwidth else 0.0
     inv_pw_total = 1.0 / graph.total_p_max
@@ -106,6 +98,7 @@ def _beam_search(
     serves_self = request.duration_slots >= 2
     # idle ownership only matters for single-slot requests under once-only charging
     track_idle = view.idle_charge == "once" and not serves_self
+    modes, free_cpu, free_mem, free_bw = view.mode, view.free_cpu, view.free_mem, view.free_bw
 
     route_table: dict = {}
 
@@ -125,10 +118,9 @@ def _beam_search(
             0.0,
             0.0,
             0,
-            1.0,
             [0.0] * n_nodes,
             [0.0] * n_nodes,
-            [0.0] * n_links,
+            [0.0] * len(graph.links),
             [False] * n_nodes if track_idle else None,
         )
     ]
@@ -136,20 +128,21 @@ def _beam_search(
         vnf = vnfs[stage]
         bandwidth = edges[stage - 1].bandwidth
         candidates = (request.destination,) if stage == len(vnfs) - 1 else corridor
+        # (-payoff, hops, hosts so far, node) is the beam order and unique, so sort() stops there
         grown = []
-        for state in beam:
+        for parent, state in enumerate(beam):
             prev = state.hosts[-1]
             for node_id in candidates:
                 if not vnf.is_pseudo:
-                    if view.mode[node_id] is Mode.OFF_UNAVAILABLE:
+                    if modes[node_id] is Mode.OFF_UNAVAILABLE:
                         continue
-                    if view.free_cpu[node_id] - state.used_cpu[node_id] < vnf.cpu - 1e-9:
+                    if free_cpu[node_id] - state.used_cpu[node_id] < vnf.cpu - 1e-9:
                         continue
-                    if view.free_mem[node_id] - state.used_mem[node_id] < vnf.memory - 1e-9:
+                    if free_mem[node_id] - state.used_mem[node_id] < vnf.memory - 1e-9:
                         continue
                 route, new_delay = _pick_route(
                     routes_between(prev, node_id),
-                    view.free_bw,
+                    free_bw,
                     state.used_bw,
                     bandwidth,
                     state.delay_ms,
@@ -158,16 +151,15 @@ def _beam_search(
                 )
                 if route is None:
                     continue
-                bw_units = state.bw_units + bandwidth * route.hop_count
+                route_hops = len(route.links)
+                bw_units = state.bw_units + bandwidth * route_hops
                 power_w = state.power_w
-                used_cpu = state.used_cpu
-                used_mem = state.used_mem
-                idle_paid = state.idle_paid
+                pays_idle = False
                 if not vnf.is_pseudo:
                     # energy.vnf_power_attribution's rule, inline: a call here gives the same bytes but
                     # ran viterbi_place up to 1.13x slower (12 nodes, 2-vCPU Xeon).  The oracle test
                     # test_unlimited_beam_matches_exhaustive_search checks the two agree per server mode.
-                    mode = view.mode[node_id]
+                    mode = modes[node_id]
                     serves = serves_self or view.serves_next[node_id]
                     if mode is Mode.OFF_AVAILABLE:
                         if not serves:
@@ -176,21 +168,11 @@ def _beam_search(
                         power_w += vnf.cpu * view.power_coeff[node_id]
                         if view.idle_charge == "per_vnf":
                             power_w += view.p_idle[node_id]
-                        elif not (view.idle_charged[node_id] or idle_paid[node_id]):
+                        elif not (view.idle_charged[node_id] or state.idle_paid[node_id]):
                             power_w += view.p_idle[node_id]
-                            idle_paid = list(idle_paid)
-                            idle_paid[node_id] = True
+                            pays_idle = True
                     else:
                         power_w += vnf.cpu * view.power_coeff[node_id]
-                    used_cpu = list(used_cpu)
-                    used_cpu[node_id] += vnf.cpu
-                    used_mem = list(used_mem)
-                    used_mem[node_id] += vnf.memory
-                used_bw = state.used_bw
-                if route.links:
-                    used_bw = list(used_bw)
-                    for link_index in route.links:
-                        used_bw[link_index] += bandwidth
                 payoff = (
                     1.0
                     - weights.bw * (bw_units * inv_bw_total)
@@ -198,24 +180,35 @@ def _beam_search(
                     - weights.delay * (new_delay * inv_delay)
                 )
                 grown.append(
-                    _Beam(
-                        state.hosts + (node_id,),
-                        state.routes + (route,),
-                        bw_units,
-                        power_w,
-                        new_delay,
-                        state.hops + route.hop_count,
-                        payoff,
-                        used_cpu,
-                        used_mem,
-                        used_bw,
-                        idle_paid,
-                    )
+                    (-payoff, state.hops + route_hops, state.hosts, node_id,
+                     parent, route, new_delay, bw_units, power_w, pays_idle)
                 )
         if not grown:
             return None
-        grown.sort(key=lambda s: (-s.payoff, s.hops, s.hosts))
-        beam = grown if beam_width is None else grown[:beam_width]
+        grown.sort()
+        survivors = []
+        for _, hops, hosts, node_id, parent, route, new_delay, bw_units, power_w, pays_idle in grown[:beam_width]:
+            state = beam[parent]
+            used_cpu, used_mem, used_bw, idle_paid = state.used_cpu, state.used_mem, state.used_bw, state.idle_paid
+            if not vnf.is_pseudo:
+                used_cpu = list(used_cpu)
+                used_cpu[node_id] += vnf.cpu
+                used_mem = list(used_mem)
+                used_mem[node_id] += vnf.memory
+                if pays_idle:
+                    idle_paid = list(idle_paid)
+                    idle_paid[node_id] = True
+            if route.links:
+                used_bw = list(used_bw)
+                for link_index in route.links:
+                    used_bw[link_index] += bandwidth
+            survivors.append(
+                _Beam(
+                    hosts + (node_id,), state.routes + (route,), bw_units, power_w, new_delay, hops,
+                    used_cpu, used_mem, used_bw, idle_paid,
+                )
+            )
+        beam = survivors
     best = beam[0]
     cost = evaluate_strategy(request, best.hosts, best.routes, graph, view, weights)
     return Strategy(request.id, best.hosts, best.routes, True, cost)

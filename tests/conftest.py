@@ -64,19 +64,21 @@ def make_request(
 MODES = (Mode.IDLE, Mode.ON, Mode.OFF_AVAILABLE, Mode.OFF_UNAVAILABLE)
 
 
-def random_micro_instance(rng):
+def random_micro_instance(rng, nodes=(3, 5)):
     """A small ring with mixed delays, light load, and one micro request.
 
+    The ring has ``rng.integers(*nodes)`` satellites (two joined by one link).
     Every server is in a random mode under a random idle-charging rule, and
     the returned view also sets next-slot service and idle-baseline ownership
     at random, so the kernel's power rule meets every case of
-    `vnf_power_attribution`.  Returns (graph, context, request, view).
+    `vnf_power_attribution`.  ``rng`` needs only numpy's ``integers``.
+    Returns (graph, context, request, view).
     """
-    n = int(rng.integers(3, 5))
+    n = int(rng.integers(*nodes))
     delays = [float(rng.integers(1, 5)) for _ in range(n)]
     graph = make_graph(
         n,
-        [(i, (i + 1) % n, delays[i]) for i in range(n)],
+        [(i, (i + 1) % n, delays[i]) for i in range(n if n > 2 else 1)],
         capacity={"cpu": float(rng.integers(8, 20)), "memory": 64.0},
     )
     context = idle_context(graph, slot=2, idle_charge=("once", "per_vnf")[int(rng.integers(2))])

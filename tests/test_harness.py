@@ -313,6 +313,15 @@ class TestCli:
         assert code == 0
         assert len(out.read_text().splitlines()) == 4
 
+    @pytest.mark.parametrize("flag, field", [("--d", "num_paths"), ("--beam", "beam_width")])
+    def test_bad_flag_value_is_a_usage_error(self, flag, field, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["batch", flag, "0"])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: satchain batch")
+        assert f"{field} must be >= 1" in err.splitlines()[-1]
+
     def test_check_runs_property_suites(self, capsys):
         assert main(["check", "--seed", "1"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()

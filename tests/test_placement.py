@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from satchain import placement
 from satchain.costing import ContextView, Strategy, StrategyProfile, Weights, check_feasibility
 from satchain.energy import Mode, ServerState
 from satchain.placement import PlacementConfig, best_response, greedy_place, viterbi_place
@@ -8,6 +11,19 @@ from satchain.workload import generate_requests
 
 from conftest import idle_context, make_graph, make_request, random_micro_instance
 from oracles import enumerate_best_placement
+
+
+class DrawnRng:
+    """The part of numpy's Generator that `random_micro_instance` uses, drawn
+    through Hypothesis so that a failing example shrinks."""
+
+    def __init__(self, data):
+        self.data = data
+
+    def integers(self, low, high=None):
+        if high is None:
+            low, high = 0, low
+        return self.data.draw(st.integers(low, high - 1))
 
 
 def empty_profile(graph, context, *requests):
@@ -63,6 +79,52 @@ class TestViterbiPlace:
                 assert abs(got.cost.payoff - expected[0]) <= 1e-12
                 assert got.hosts == expected[1]
         assert checked >= 500
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(st.data())
+    def test_unlimited_beam_matches_exhaustive_search_on_drawn_rings(self, data):
+        graph, _, request, view = random_micro_instance(DrawnRng(data), nodes=(2, 8))
+        # tight link headroom, so that ranked routes get rejected
+        view.free_bw = [float(data.draw(st.integers(10, 100))) for _ in graph.links]
+        d = data.draw(st.integers(1, 4))
+        config = PlacementConfig(num_paths=d, beam_width=None)
+        for path in graph.candidate_sd_paths(request.source, request.destination, d).paths:
+            expected = enumerate_best_placement(request, path, view, graph, d, Weights())
+            got = viterbi_place(request, path, view, graph, config)
+            if expected is None:
+                assert got is None
+                continue
+            assert got is not None
+            assert abs(got.cost.payoff - expected[0]) <= 1e-12
+            assert got.hosts == expected[1]
+
+    def test_second_route_when_first_lacks_link_headroom(self):
+        # only node 2 can host; going out on 0-1-2 leaves 5 of 15 units on those
+        # links, so the way back skips the shorter 2-1-0 and takes 2-3-0
+        small, big = {"cpu": 2.0, "memory": 64.0}, {"cpu": 112.0, "memory": 64.0}
+        graph = make_graph(
+            4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 2.0), (3, 0, 2.0)], bandwidth=15.0,
+            capacities=[small, small, big, small],
+        )
+        request = make_request(0, 0, 0, [(4.0, 4.0, 10.0)], edge_bw=10.0, max_delay=100.0)
+        view = fresh_view(graph, empty_profile(graph, idle_context(graph), request), request)
+        path = next(p for p in graph.candidate_sd_paths(0, 0, 3).paths if 2 in p.nodes)
+        strategy = viterbi_place(request, path, view, graph, PlacementConfig(num_paths=2, beam_width=4))
+        assert [r.nodes for r in graph.k_shortest_paths(2, 0, 2).paths] == [(2, 1, 0), (2, 3, 0)]
+        assert strategy.hosts == (0, 2, 0)
+        assert [r.nodes for r in strategy.routes] == [(0, 1, 2), (2, 3, 0)]
+
+    def test_builds_state_only_for_the_beam_survivors(self, graph6, monkeypatch):
+        request = make_request(0, 0, 5, [(4.0, 4.0, 10.0)] * 3, max_delay=500.0)
+        view = fresh_view(graph6, empty_profile(graph6, idle_context(graph6), request), request)
+        path = graph6.candidate_sd_paths(0, 5, 8).paths[-1]
+        config = PlacementConfig(num_paths=8, beam_width=2)
+        expected = viterbi_place(request, path, view, graph6, config)
+        built = []
+        beam_class = placement._Beam
+        monkeypatch.setattr(placement, "_Beam", lambda *fields: built.append(fields) or beam_class(*fields))
+        assert viterbi_place(request, path, view, graph6, config) == expected
+        assert len(built) <= 1 + 2 * (len(request.vnfs) - 1)
 
     def test_beam_width_monotonicity(self):
         rng = np.random.default_rng(5)

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from satchain.harness import SimulationConfig
 from satchain.topology import (
     LIGHT_SPEED_KM_PER_S,
     Link,
@@ -107,6 +108,15 @@ class TestKShortestPaths:
             for path, (delay, hops, _) in zip(got.paths, expected):
                 assert path.total_delay == delay
                 assert path.hop_count == hops
+
+    @pytest.mark.parametrize("nodes", (6, 9, 12, 15))
+    def test_routes_are_loopless_on_every_constellation(self, nodes):
+        # the beam kernel checks each route link once against one traversal's bandwidth
+        graph = SimulationConfig().with_nodes(nodes).build_graph()
+        for s, t in itertools.permutations(range(nodes), 2):
+            for path in graph.k_shortest_paths(s, t, 8).paths:
+                assert len(set(path.links)) == len(path.links)
+                assert len(set(path.nodes)) == len(path.nodes)
 
     def test_results_are_cached_objects(self, graph6):
         first = graph6.k_shortest_paths(0, 5, 3)
