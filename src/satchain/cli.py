@@ -7,7 +7,7 @@ import sys
 from dataclasses import replace
 
 from . import checks
-from .harness import ALGORITHMS, SimulationConfig, emit, emit_text, run_batch, run_online, run_taguchi
+from .harness import ALGORITHMS, SimulationConfig, check_sweep, emit, emit_text, run_batch, run_online, run_taguchi
 
 
 def _add_common(parser):
@@ -38,6 +38,13 @@ def _load_config(args, mode: str) -> SimulationConfig:
     }
     # replace() re-runs the config's validation on the flag values
     return replace(config, mode=mode, **{name: value for name, value in flags.items() if value is not None})
+
+
+def _levels(text: str, flag: str) -> tuple:
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise ValueError(f"{flag} takes comma-separated integers, not {text!r}") from None
 
 
 def _write(results, args) -> None:
@@ -76,6 +83,14 @@ def main(argv=None) -> int:
     if args.command in ("batch", "online", "taguchi"):
         try:
             config = _load_config(args, "online" if args.command == "online" else "batch")
+            if args.command == "taguchi":
+                sweep = {
+                    "d_levels": _levels(args.d_levels, "--d-levels"),
+                    "b_levels": _levels(args.b_levels, "--b-levels"),
+                    "m_values": _levels(args.m_values, "--m-values"),
+                    "repetitions": args.repetitions,
+                }
+                check_sweep(config, **sweep)
         except ValueError as exc:  # a bad value from a flag or the config file
             sub.choices[args.command].error(str(exc))
 
@@ -86,15 +101,7 @@ def main(argv=None) -> int:
         _write(run_online(config, args.algorithm, args.seed), args)
         return 0
     if args.command == "taguchi":
-        levels = lambda text: tuple(int(v) for v in text.split(","))
-        result = run_taguchi(
-            config,
-            d_levels=levels(args.d_levels),
-            b_levels=levels(args.b_levels),
-            m_values=levels(args.m_values),
-            repetitions=args.repetitions,
-            seed=args.seed,
-        )
+        result = run_taguchi(config, seed=args.seed, **sweep)
         text = result.to_csv_text() if args.format == "csv" else result.to_json_text()
         if args.out:
             with open(args.out, "w", newline="") as fh:

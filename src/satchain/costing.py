@@ -358,13 +358,3 @@ def check_feasibility(profile: StrategyProfile, graph: NetworkGraph) -> list:
         if state.mode is Mode.OFF_AVAILABLE and ctx.slot - state.off_since < params.t_off_min:
             violations.append(Violation("off_time", node_id, "available before the minimum off time"))
     return violations
-
-
-def breakdown_csv(profile: StrategyProfile) -> str:
-    """Tidy per-request cost rows, in request-id order."""
-    lines = ["request_id,bw,power,delay,payoff,allocated"]
-    for rid in sorted(profile.strategies):
-        s = profile.strategies[rid]
-        c = s.cost or CostBreakdown(0.0, 0.0, 0.0, 0.0)
-        lines.append(f"{rid},{c.bw!r},{c.power!r},{c.delay!r},{s.payoff!r},{s.allocated}")
-    return "\n".join(lines) + "\n"

@@ -8,6 +8,17 @@ committed cost breakdowns stay frozen, a unilateral strategy swap moves the
 network payoff by exactly the deviator's payoff change, so every commit
 raises the network payoff and the dynamics terminate at a profile where no
 request can improve by changing only its own strategy.
+
+Between iterations only the winner's strategy changes, so most corridor
+searches would repeat themselves.  `pgra_run` keeps a memo of each
+(request, corridor) search's result with a `placement.Certificate`: the
+outcome of every capacity and bandwidth test the search made and the server
+flags its power rule read.  A search whose certificate holds for the fresh
+view is not run again; its stored result is what the kernel would return,
+because the certificate replays the kernel's own comparisons.  Server modes,
+the graph, the requests and the config are fixed within one call and the
+memo dies with it, so no result crosses slots.  `is_nash` runs uncached, so it
+checks the cached dynamics independently.
 """
 
 from __future__ import annotations
@@ -64,15 +75,15 @@ class GameTrace:
             writer.writerows(astuple(row) for row in self.rows)
 
 
-def _improving_move(request, profile: StrategyProfile, graph: NetworkGraph, config: GameConfig):
+def _improving_move(request, profile: StrategyProfile, graph: NetworkGraph, config: GameConfig, memo=None):
     """(best response, payoff gain) when it is a move, else None.
 
     A best response that merely re-prices the current placement under a
     shifted context is not a move; only a structurally different proposal
-    with a payoff gain above epsilon counts.
+    with a payoff gain above epsilon counts.  `memo` goes to `best_response`.
     """
     current = profile.strategies[request.id]
-    proposal = best_response(request, profile, graph, config.placement)
+    proposal = best_response(request, profile, graph, config.placement, memo)
     if proposal is None or proposal.same_placement(current):
         return None
     gain = proposal.payoff - current.payoff
@@ -96,13 +107,14 @@ def pgra_run(
     profile = StrategyProfile.empty(requests, context)
     trace = GameTrace()
     order = sorted(profile.requests)
+    memo: dict = {}  # certified corridor results; modes, graph and config are fixed for this call
     for k in range(config.k_max):
         phi_before = network_payoff(profile)
         best_improvement = 0.0
         winner: Strategy | None = None
         proposals = 0
         for rid in order:
-            move = _improving_move(profile.requests[rid], profile, graph, config)
+            move = _improving_move(profile.requests[rid], profile, graph, config, memo)
             if move is None:
                 continue
             proposal, improvement = move

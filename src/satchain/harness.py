@@ -300,6 +300,18 @@ def derive_seed(master: int, *parts: int) -> int:
     return int(state % (2**63))
 
 
+def check_sweep(config: SimulationConfig, d_levels, b_levels, m_values, repetitions: int) -> None:
+    """Raise ValueError naming the field when a sweep level or the repetition
+    count is out of range; each level goes through the config's validation."""
+    if repetitions < 1:
+        raise ValueError("repetitions must be >= 1")
+    for name, levels in (("num_paths", d_levels), ("beam_width", b_levels), ("requests", m_values)):
+        if not levels:
+            raise ValueError(f"no {name} levels to sweep")
+        for level in levels:
+            replace(config, **{name: level})
+
+
 def run_taguchi(
     config: SimulationConfig,
     d_levels=(1, 2, 4, 8),
@@ -315,6 +327,7 @@ def run_taguchi(
     every (d, beam) cell sees the same workloads and cells are directly
     comparable.
     """
+    check_sweep(config, d_levels, b_levels, m_values, repetitions)
     if graph is None:
         graph = config.build_graph()
     rows = []
@@ -375,7 +388,3 @@ def emit(results: list, fmt: str, path: str) -> str:
     except OSError as exc:
         raise OSError(f"cannot write results to {path}: {exc}") from exc
     return path
-
-
-def parse_metrics_json(text: str) -> list:
-    return [SlotMetrics(**row) for row in json.loads(text)]

@@ -17,6 +17,7 @@ order, so a wider beam never does worse.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .costing import ContextView, Strategy, StrategyProfile, Weights, evaluate_strategy
@@ -54,20 +55,87 @@ class _Beam:
     idle_paid: list | None
 
 
-def _pick_route(routes, free_bw, used_bw, bandwidth, delay_so_far, exec_time, max_delay):
+_UNTESTED_PASS, _UNTESTED_BLOCK = -math.inf, math.inf
+
+
+class Certificate:
+    """What one kernel run read from its view: enough to show that a run on a
+    later view would return the same result.
+
+    The kernel reads a view only through capacity and bandwidth tests
+    ``free - used < need - 1e-9`` and the ``serves_next``/``idle_charged``
+    flags of nodes where its power rule depends on them (a single-slot
+    request on an off-available or idle server).  All else it reads (server
+    modes, the graph, the request, the config, the delay test) is fixed
+    within one `pgra_run`, which owns the memo of certificates, so none
+    crosses slots.
+
+    While the kernel runs, `cpu`, `mem` and `bw` map each need to two lists
+    over node or link index: the largest ``used`` that passed and the
+    smallest that blocked (-inf and inf where none did; no check fails on
+    them).  For fixed ``free`` and ``need`` the rounded ``free - used`` never
+    rises as ``used`` rises, so if those two still pass and block, so does
+    every test the kernel made, and it takes the same steps.
+    """
+
+    __slots__ = ("cpu", "mem", "bw", "flagged", "tests", "flags")
+
+    def __init__(self):
+        self.cpu, self.mem, self.bw = {}, {}, {}
+        self.flagged: set = set()
+
+    @staticmethod
+    def bounds(by_need: dict, need: float, size: int) -> tuple:
+        """(largest passing used, smallest blocking used) lists for tests of `need`."""
+        bounds = by_need.get(need)
+        if bounds is None:
+            bounds = by_need[need] = ([_UNTESTED_PASS] * size, [_UNTESTED_BLOCK] * size)
+        return bounds
+
+    def seal(self, view: ContextView) -> None:
+        """Keep the tested bounds with `view`'s free values, and the read flags."""
+        frees = (view.free_cpu, view.free_mem, view.free_bw)
+        self.tests = tuple(
+            (kind, index, need, frees[kind][index], largest, smallest)
+            for kind, by_need in enumerate((self.cpu, self.mem, self.bw))
+            for need, (passed, blocked) in by_need.items()
+            for index, (largest, smallest) in enumerate(zip(passed, blocked))
+            if largest != _UNTESTED_PASS or smallest != _UNTESTED_BLOCK
+        )
+        self.flags = tuple((node, view.serves_next[node], view.idle_charged[node]) for node in self.flagged)
+        self.cpu = self.mem = self.bw = self.flagged = None
+
+    def holds(self, view: ContextView) -> bool:
+        """True when the kernel run on `view` is certain to give the sealed result."""
+        frees = (view.free_cpu, view.free_mem, view.free_bw)
+        for kind, index, need, seen, passed, blocked in self.tests:
+            free = frees[kind][index]
+            if free != seen and (free - passed < need - 1e-9 or not free - blocked < need - 1e-9):
+                return False
+        serves_next, idle_charged = view.serves_next, view.idle_charged
+        return all(serves_next[node] == serves and idle_charged[node] == charged for node, serves, charged in self.flags)
+
+
+def _pick_route(routes, free_bw, used_bw, bandwidth, delay_so_far, exec_time, max_delay, bw_passed, bw_blocked):
     """First ranked route that fits the bandwidth headroom and delay budget.
 
     Routes are ranked by delay, so once the budget is blown no later entry
     can fit.  Routes come from `k_shortest_paths` and are loopless, so each
-    link is traversed once.
+    link is traversed once.  `bw_passed`/`bw_blocked`, when not None, are a
+    `Certificate`'s bounds for `bandwidth`.
     """
     for route in routes:
         new_delay = delay_so_far + route.total_delay + exec_time
         if new_delay > max_delay:
             return None, 0.0
         for link_index in route.links:
-            if free_bw[link_index] - used_bw[link_index] < bandwidth - 1e-9:
+            used = used_bw[link_index]
+            if free_bw[link_index] - used < bandwidth - 1e-9:
+                if bw_blocked is not None and used < bw_blocked[link_index]:
+                    bw_blocked[link_index] = used
                 break
+            if bw_passed is not None and used > bw_passed[link_index]:
+                bw_passed[link_index] = used
         else:
             return route, new_delay
     return None, 0.0
@@ -80,6 +148,7 @@ def _beam_search(
     graph: NetworkGraph,
     config: PlacementConfig,
     beam_width: int | None,
+    certificate: Certificate | None = None,
 ) -> Strategy | None:
     """Best placement found keeping `beam_width` partial placements per stage
     (None keeps all), with intermediate hosts drawn from the sorted `corridor`.
@@ -87,6 +156,7 @@ def _beam_search(
     Each expansion is first scored as a tuple that sorts by the beam order;
     usage lists are copied only for the expansions that survive truncation.
     Returns None when every partial placement dies (no feasible completion).
+    A `certificate`, when given, records what the result depended on.
     """
     vnfs = request.vnfs
     edges = request.edges
@@ -99,6 +169,9 @@ def _beam_search(
     # idle ownership only matters for single-slot requests under once-only charging
     track_idle = view.idle_charge == "once" and not serves_self
     modes, free_cpu, free_mem, free_bw = view.mode, view.free_cpu, view.free_mem, view.free_bw
+    flagged = cpu_passed = cpu_blocked = mem_passed = mem_blocked = bw_passed = bw_blocked = None
+    if certificate is not None:
+        flagged = certificate.flagged
 
     route_table: dict = {}
 
@@ -128,6 +201,11 @@ def _beam_search(
         vnf = vnfs[stage]
         bandwidth = edges[stage - 1].bandwidth
         candidates = (request.destination,) if stage == len(vnfs) - 1 else corridor
+        if certificate is not None:
+            bw_passed, bw_blocked = certificate.bounds(certificate.bw, bandwidth, len(graph.links))
+            if not vnf.is_pseudo:
+                cpu_passed, cpu_blocked = certificate.bounds(certificate.cpu, vnf.cpu, n_nodes)
+                mem_passed, mem_blocked = certificate.bounds(certificate.mem, vnf.memory, n_nodes)
         # (-payoff, hops, hosts so far, node) is the beam order and unique, so sort() stops there
         grown = []
         for parent, state in enumerate(beam):
@@ -136,10 +214,20 @@ def _beam_search(
                 if not vnf.is_pseudo:
                     if modes[node_id] is Mode.OFF_UNAVAILABLE:
                         continue
-                    if free_cpu[node_id] - state.used_cpu[node_id] < vnf.cpu - 1e-9:
+                    used = state.used_cpu[node_id]
+                    if free_cpu[node_id] - used < vnf.cpu - 1e-9:
+                        if cpu_blocked is not None and used < cpu_blocked[node_id]:
+                            cpu_blocked[node_id] = used
                         continue
-                    if free_mem[node_id] - state.used_mem[node_id] < vnf.memory - 1e-9:
+                    if cpu_passed is not None and used > cpu_passed[node_id]:
+                        cpu_passed[node_id] = used
+                    used = state.used_mem[node_id]
+                    if free_mem[node_id] - used < vnf.memory - 1e-9:
+                        if mem_blocked is not None and used < mem_blocked[node_id]:
+                            mem_blocked[node_id] = used
                         continue
+                    if mem_passed is not None and used > mem_passed[node_id]:
+                        mem_passed[node_id] = used
                 route, new_delay = _pick_route(
                     routes_between(prev, node_id),
                     free_bw,
@@ -148,6 +236,8 @@ def _beam_search(
                     state.delay_ms,
                     vnf.exec_time,
                     request.max_delay,
+                    bw_passed,
+                    bw_blocked,
                 )
                 if route is None:
                     continue
@@ -161,6 +251,8 @@ def _beam_search(
                     # test_unlimited_beam_matches_exhaustive_search checks the two agree per server mode.
                     mode = modes[node_id]
                     serves = serves_self or view.serves_next[node_id]
+                    if flagged is not None and not serves_self and mode is not Mode.ON:
+                        flagged.add(node_id)
                     if mode is Mode.OFF_AVAILABLE:
                         if not serves:
                             power_w += view.p_max[node_id]
@@ -220,14 +312,16 @@ def viterbi_place(
     view: ContextView,
     graph: NetworkGraph,
     config: PlacementConfig,
+    certificate: Certificate | None = None,
 ) -> Strategy | None:
     """Best placement of `request` with hosts restricted to `path`'s nodes.
 
     Returns None when every partial placement dies (no feasible completion).
+    A `certificate`, when given, records what the result depended on.
     """
     if path.nodes[0] != request.source or path.nodes[-1] != request.destination:
         raise ValueError("candidate path must join the request endpoints")
-    return _beam_search(request, sorted(set(path.nodes)), view, graph, config, config.beam_width)
+    return _beam_search(request, sorted(set(path.nodes)), view, graph, config, config.beam_width, certificate)
 
 
 def best_response(
@@ -235,6 +329,7 @@ def best_response(
     profile: StrategyProfile,
     graph: NetworkGraph,
     config: PlacementConfig,
+    memo: dict | None = None,
 ) -> Strategy | None:
     """Payoff-maximal strategy over all candidate paths, others held fixed.
 
@@ -242,6 +337,12 @@ def best_response(
     duplicates are skipped.  Ties between paths break toward fewer total hops
     and then the lexicographically smallest host sequence.  None means the
     request stays unallocated.
+
+    `memo` maps (request id, corridor) to a sealed `Certificate` and the
+    corridor's result; a corridor whose certificate holds for the current
+    view reuses its result instead of running the kernel again.  The caller
+    must drop the memo when server modes, the graph, a request or the config
+    change.
     """
     view = ContextView.build(graph, profile, exclude=request.id)
     best: Strategy | None = None
@@ -251,7 +352,17 @@ def best_response(
         if corridor in seen_corridors:
             continue
         seen_corridors.add(corridor)
-        candidate = viterbi_place(request, path, view, graph, config)
+        if memo is None:
+            candidate = viterbi_place(request, path, view, graph, config)
+        else:
+            stored = memo.get((request.id, corridor))
+            if stored is not None and stored[0].holds(view):
+                candidate = stored[1]
+            else:
+                certificate = Certificate()
+                candidate = viterbi_place(request, path, view, graph, config, certificate)
+                certificate.seal(view)
+                memo[request.id, corridor] = (certificate, candidate)
         if candidate is None:
             continue
         if best is None:

@@ -283,22 +283,6 @@ class TestCheckFeasibility:
         assert any(v.constraint == "node_capacity" for v in violations)
 
 
-class TestBreakdownExport:
-    def test_csv_rows_cover_every_request(self, graph6):
-        from satchain.costing import breakdown_csv
-
-        context = idle_context(graph6)
-        request = make_request(4, 0, 0, [(4.0, 4.0, 10.0)], max_delay=50.0)
-        strategy = build_strategy(request, graph6, context, (0, 0, 0), [(0,), (0,)])
-        profile = profile_of(graph6, context, (request, strategy))
-        profile.requests[5] = make_request(5, 1, 1, [])
-        profile.strategies[5] = Strategy.unallocated(5)
-        lines = breakdown_csv(profile).strip().splitlines()
-        assert lines[0] == "request_id,bw,power,delay,payoff,allocated"
-        assert lines[1].startswith("4,") and lines[1].endswith("True")
-        assert lines[2].startswith("5,") and lines[2].endswith("False")
-
-
 class TestEvaluateConsistency:
     def test_breakdown_matches_component_functions(self, graph6, thirds):
         context = idle_context(graph6)

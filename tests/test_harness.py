@@ -14,7 +14,6 @@ from satchain.harness import (
     derive_seed,
     emit,
     emit_text,
-    parse_metrics_json,
     run_batch,
     run_online,
     run_taguchi,
@@ -193,7 +192,7 @@ class TestEmission:
 
     def test_json_round_trip(self):
         records = self._metrics()
-        parsed = parse_metrics_json(emit_text(records, "json"))
+        parsed = [SlotMetrics(**row) for row in json.loads(emit_text(records, "json"))]
         assert parsed == records
 
     def test_empty_results_rejected(self, tmp_path):
@@ -321,6 +320,26 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("usage: satchain batch")
         assert f"{field} must be >= 1" in err.splitlines()[-1]
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--d-levels", "0"], "num_paths must be >= 1"),
+            (["--b-levels", "0"], "beam_width must be >= 1 (or None for unlimited)"),
+            (["--d-levels", "1,2,0"], "num_paths must be >= 1"),
+            (["--d-levels", "1,x"], "--d-levels takes comma-separated integers, not '1,x'"),
+            (["--m-values=-1"], "requests must be >= 0"),
+            (["--repetitions", "0"], "repetitions must be >= 1"),
+        ],
+    )
+    def test_bad_sweep_flag_is_a_usage_error(self, flags, message, capsys, monkeypatch):
+        monkeypatch.setattr("satchain.harness.run_batch", lambda *args, **kwargs: pytest.fail("a cell ran"))
+        with pytest.raises(SystemExit) as exited:
+            main(["taguchi", *flags])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: satchain taguchi")
+        assert err.splitlines()[-1].endswith(message)
 
     def test_check_runs_property_suites(self, capsys):
         assert main(["check", "--seed", "1"]) == 0

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,10 +8,12 @@ from hypothesis import strategies as st
 from satchain import placement
 from satchain.costing import ContextView, Strategy, StrategyProfile, Weights, check_feasibility
 from satchain.energy import Mode, ServerState
+from satchain.game import GameConfig, pgra_run
 from satchain.placement import PlacementConfig, best_response, greedy_place, viterbi_place
+from satchain.topology import Link, NetworkGraph, SatelliteNode
 from satchain.workload import generate_requests
 
-from conftest import idle_context, make_graph, make_request, random_micro_instance
+from conftest import MODES, TABLE_POWER, idle_context, make_graph, make_request, random_micro_instance
 from oracles import enumerate_best_placement
 
 
@@ -24,6 +28,46 @@ class DrawnRng:
         if high is None:
             low, high = 0, low
         return self.data.draw(st.integers(low, high - 1))
+
+
+def drawn_game(data):
+    """(requests, graph, context, config) of a pgra slot on a drawn 2-7-node ring.
+
+    Capacities, demands and bandwidths are drawn in tenths (10.1 CPU, 2.7 per
+    VNF), so that ``free - used`` rounds; servers take every mode, and the
+    requests mix single- and multi-slot durations.
+    """
+    tenths = lambda lo, hi: data.draw(st.integers(lo, hi)) / 10
+    n = data.draw(st.integers(2, 7))
+    nodes = [
+        SatelliteNode(i, 0, i, {"cpu": tenths(50, 150), "memory": tenths(50, 150)}, TABLE_POWER) for i in range(n)
+    ]
+    links = [
+        Link(i, i, (i + 1) % n, tenths(50, 400), float(data.draw(st.integers(1, 4))), 1.0)
+        for i in range(n if n > 2 else 1)
+    ]
+    graph = NetworkGraph(nodes, links)
+    context = idle_context(graph, slot=2, idle_charge=data.draw(st.sampled_from(("once", "per_vnf"))))
+    for node in graph.nodes:
+        mode = data.draw(st.sampled_from(MODES))
+        if mode is Mode.IDLE:
+            context.server_states[node.id] = ServerState(mode, idle_since=1)
+        else:
+            context.server_states[node.id] = ServerState(mode, off_since=0 if mode is Mode.OFF_AVAILABLE else 2)
+    requests = [
+        make_request(
+            rid,
+            data.draw(st.integers(0, n - 1)),
+            data.draw(st.integers(0, n - 1)),
+            [(tenths(10, 60), tenths(10, 60), 10.0) for _ in range(data.draw(st.integers(1, 3)))],
+            edge_bw=tenths(50, 300),
+            max_delay=float(data.draw(st.integers(40, 120))),
+            duration=data.draw(st.integers(1, 3)),
+        )
+        for rid in range(data.draw(st.integers(2, 5)))
+    ]
+    placement_config = PlacementConfig(num_paths=data.draw(st.integers(1, 4)), beam_width=data.draw(st.integers(1, 4)))
+    return requests, graph, context, GameConfig(placement=placement_config)
 
 
 def empty_profile(graph, context, *requests):
@@ -97,6 +141,58 @@ class TestViterbiPlace:
             assert got is not None
             assert abs(got.cost.payoff - expected[0]) <= 1e-12
             assert got.hosts == expected[1]
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(st.data())
+    def test_certified_reuse_matches_searching_again_on_drawn_rings(self, data):
+        requests, graph, context, config = drawn_game(data)
+        profile, trace = pgra_run(requests, graph, context, config)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(placement.Certificate, "holds", lambda self, view: False)
+            searched, searched_trace = pgra_run(requests, graph, context, config)
+        assert trace.rows == searched_trace.rows
+        assert profile.strategies == searched.strategies
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(st.data())
+    def test_certificate_that_holds_predicts_the_kernel_on_a_shifted_view(self, data):
+        requests, graph, context, config = drawn_game(data)
+        # with every request unallocated, each one sees this view
+        view = ContextView.build(graph, StrategyProfile.empty(requests, context))
+        view.serves_next = [data.draw(st.booleans()) for _ in graph.nodes]
+        view.idle_charged = [data.draw(st.booleans()) for _ in graph.nodes]
+        # shift free values or flip flags of one or more kinds, so that a change of one kind alone is common
+        read = ("free_cpu", "free_mem", "free_bw", "serves_next", "idle_charged")
+        kinds = data.draw(st.sets(st.sampled_from(read), min_size=1))
+        shift = st.sampled_from((0, -1, 1)).flatmap(lambda sign: st.integers(0, 60).map(lambda t: sign * t / 10))
+        flip = st.sampled_from((False, False, True))
+        shifted = copy.copy(view)
+        for name in read:
+            if name in kinds and name.startswith("free"):
+                setattr(shifted, name, [free + data.draw(shift) for free in getattr(view, name)])
+            elif name in kinds:
+                setattr(shifted, name, [flag != data.draw(flip) for flag in getattr(view, name)])
+        for request in requests:
+            for path in graph.candidate_sd_paths(request.source, request.destination, config.placement.num_paths).paths:
+                certificate = placement.Certificate()
+                got = viterbi_place(request, path, view, graph, config.placement, certificate)
+                certificate.seal(view)
+                if certificate.holds(shifted):
+                    assert viterbi_place(request, path, shifted, graph, config.placement) == got
+
+    def test_certificate_replays_the_kernels_rounding(self):
+        # at free 0.499999999, 0.499999999 - 0.1 rounds below 0.4 - 1e-9, so the kernel's test
+        # blocks the second VNF, where the algebraically equal free < 0.4 + 0.1 - 1e-9 would not
+        graph = make_graph(1, [], capacity={"cpu": 1.0, "memory": 64.0})
+        request = make_request(0, 0, 0, [(0.1, 1.0, 1.0), (0.4, 1.0, 1.0)], max_delay=100.0)
+        view = fresh_view(graph, empty_profile(graph, idle_context(graph), request), request)
+        path = graph.candidate_sd_paths(0, 0, 1).paths[0]
+        certificate = placement.Certificate()
+        assert viterbi_place(request, path, view, graph, PlacementConfig(), certificate) is not None
+        certificate.seal(view)
+        view.free_cpu = [0.499999999]
+        assert viterbi_place(request, path, view, graph, PlacementConfig()) is None
+        assert not certificate.holds(view)
 
     def test_second_route_when_first_lacks_link_headroom(self):
         # only node 2 can host; going out on 0-1-2 leaves 5 of 15 units on those
