@@ -10,10 +10,21 @@ from . import checks
 from .harness import ALGORITHMS, SimulationConfig, check_sweep, emit, emit_text, run_batch, run_online, run_taguchi
 
 
+def _seed(text: str) -> int:
+    """`--seed` value: numpy's generators take only non-negative integers."""
+    try:
+        seed = int(text)
+        if seed >= 0:
+            return seed
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, not {text!r}")
+
+
 def _add_common(parser):
     parser.add_argument("--config", help="JSON config file (flags override its values)")
     parser.add_argument("--algorithm", choices=ALGORITHMS, default="pgra")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_seed, default=0)
     parser.add_argument("--out", help="output file; stdout when omitted")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--d", type=int, help="candidate paths per request")
@@ -24,8 +35,12 @@ def _add_common(parser):
 
 def _load_config(args, mode: str) -> SimulationConfig:
     if args.config:
-        with open(args.config) as fh:
-            config = SimulationConfig.from_json(fh.read())
+        try:
+            with open(args.config) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ValueError(f"--config: cannot read {args.config!r}: {exc.strerror}") from None
+        config = SimulationConfig.from_json(text)
     else:
         config = SimulationConfig()
     if args.nodes is not None:
@@ -77,7 +92,7 @@ def main(argv=None) -> int:
     taguchi.add_argument("--m-values", default="10,20,30", help="comma-separated request counts")
 
     check = sub.add_parser("check", help="run the built-in property suites")
-    check.add_argument("--seed", type=int, default=0)
+    check.add_argument("--seed", type=_seed, default=0)
 
     args = parser.parse_args(argv)
     if args.command in ("batch", "online", "taguchi"):

@@ -120,9 +120,9 @@ def _pick_route(routes, free_bw, used_bw, bandwidth, delay_so_far, exec_time, ma
     """First ranked route that fits the bandwidth headroom and delay budget.
 
     Routes are ranked by delay, so once the budget is blown no later entry
-    can fit.  Routes come from `k_shortest_paths` and are loopless, so each
-    link is traversed once.  `bw_passed`/`bw_blocked`, when not None, are a
-    `Certificate`'s bounds for `bandwidth`.
+    can fit.  Routes come from the graph's route matrix and are loopless, so
+    each link is traversed once.  `bw_passed`/`bw_blocked`, when not None,
+    are a `Certificate`'s bounds for `bandwidth`.
     """
     for route in routes:
         new_delay = delay_so_far + route.total_delay + exec_time
@@ -173,16 +173,7 @@ def _beam_search(
     if certificate is not None:
         flagged = certificate.flagged
 
-    route_table: dict = {}
-
-    def routes_between(a, b):
-        key = (a, b)
-        hit = route_table.get(key)
-        if hit is None:
-            hit = graph.k_shortest_paths(a, b, config.num_paths).paths
-            route_table[key] = hit
-        return hit
-
+    routes = graph.route_matrix(config.num_paths)
     beam = [
         _Beam(
             (request.source,),
@@ -209,7 +200,7 @@ def _beam_search(
         # (-payoff, hops, hosts so far, node) is the beam order and unique, so sort() stops there
         grown = []
         for parent, state in enumerate(beam):
-            prev = state.hosts[-1]
+            routes_from = routes[state.hosts[-1]]
             for node_id in candidates:
                 if not vnf.is_pseudo:
                     if modes[node_id] is Mode.OFF_UNAVAILABLE:
@@ -229,7 +220,7 @@ def _beam_search(
                     if mem_passed is not None and used > mem_passed[node_id]:
                         mem_passed[node_id] = used
                 route, new_delay = _pick_route(
-                    routes_between(prev, node_id),
+                    routes_from[node_id].paths,
                     free_bw,
                     state.used_bw,
                     bandwidth,

@@ -3,17 +3,25 @@
 Nodes are edge-server satellites arranged in orbital planes; links are
 inter-satellite links (ISLs) with a shared undirected bandwidth capacity and a
 propagation delay.  Candidate routing paths between two satellites are the
-``d`` loopless shortest paths by delay, with deterministic tie-breaking so
-that repeated runs produce identical path sets.
+first ``d`` of all loopless paths ranked by (total delay, hop count, node
+sequence), so repeated runs produce identical path sets.
+
+The ranking comes from a best-first search over loopless prefixes, keyed by
+the prefix delay plus the exact shortest delay from its last node to the
+target (one Dijkstra per target).  That key never exceeds the delay of any
+completion, so once ``d`` paths are found and the smallest key left exceeds
+the ``d``-th smallest delay, no unseen path can rank in the top ``d``.  The
+1e-9 margin on that test absorbs rounding and can only keep extra paths,
+which the exact final sort drops.  ``routes[a][b]`` holds the result for
+every pair, filled once per ``d`` on first use.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from dataclasses import asdict, dataclass
-
-import networkx as nx
 
 from .energy import PowerParams
 
@@ -86,11 +94,14 @@ class PathSet:
 
 
 class NetworkGraph:
-    """Immutable-after-build constellation graph with a candidate-path cache.
+    """Immutable-after-build constellation graph that owns its ranked routes.
 
-    Node ids must be the contiguous range 0..N-1.  The path cache is filled
-    lazily; the graph is otherwise read-only, so sharing across workers is
-    safe as long as cache population stays single-writer.
+    Node ids must be the contiguous range 0..N-1.  On the first use of a path
+    count ``d``, `route_matrix` fills ``routes[a][b]`` for every pair with the
+    top-``d`` `PathSet` (None for a disconnected pair); shortest delays to
+    each target and same-node walk sets are cached too.  The graph is
+    otherwise read-only, so sharing across workers is safe as long as cache
+    population stays single-writer.
     """
 
     def __init__(self, nodes: list, links: list):
@@ -112,11 +123,9 @@ class NetworkGraph:
             self._adj[link.v].append((link.u, link.index))
         self.total_bandwidth = sum(l.bandwidth for l in self.links)
         self.total_p_max = sum(n.power.p_max for n in self.nodes)
-        self._nx = nx.Graph()
-        self._nx.add_nodes_from(self._adj)
-        for link in self.links:
-            self._nx.add_edge(link.u, link.v, delay=link.delay)
-        self._cache: dict = {}
+        self._routes: dict = {}  # d -> route matrix
+        self._to_target: dict = {}  # t -> shortest delay from every node to t
+        self._walks: dict = {}  # (s, d) -> same-node candidate walks
 
     # -- path machinery ----------------------------------------------------
 
@@ -134,6 +143,74 @@ class NetworkGraph:
         delay = math.fsum(self.links[i].delay for i in links)
         return Path(nodes, tuple(links), delay)
 
+    def _delays_to(self, t: int) -> list:
+        """Shortest delay from every node to ``t`` (inf where unreachable)."""
+        dist = self._to_target.get(t)
+        if dist is not None:
+            return dist
+        dist = [math.inf] * len(self.nodes)
+        dist[t] = 0.0
+        heap = [(0.0, t)]
+        while heap:
+            du, u = heapq.heappop(heap)
+            if du > dist[u]:
+                continue
+            for v, link_index in self._adj[u]:
+                dv = du + self.links[link_index].delay
+                if dv < dist[v]:
+                    dist[v] = dv
+                    heapq.heappush(heap, (dv, v))
+        self._to_target[t] = dist
+        return dist
+
+    def _ranked_paths(self, s: int, t: int, d: int) -> PathSet | None:
+        """Top ``d`` loopless s-t paths by (fsum delay, hops, nodes); None if disconnected."""
+        if s == t:
+            return PathSet(s, t, (Path((s,), (), 0.0),))
+        to_t = self._delays_to(t)
+        if to_t[s] == math.inf:
+            return None
+        adj, links = self._adj, self.links
+        # prefixes as (delay + delay to t, nodes, links, delay, visited bitmask); nodes are unique
+        frontier = [(to_t[s], (s,), (), 0.0, 1 << s)]
+        found = []
+        worst = []  # negated delays of the d smallest found
+        kth = math.inf
+        while frontier:
+            bound, nodes, route, delay, visited = heapq.heappop(frontier)
+            if bound > kth + 1e-9:
+                break
+            for v, link_index in adj[nodes[-1]]:
+                if visited >> v & 1:
+                    continue
+                if v == t:
+                    full = route + (link_index,)
+                    total = math.fsum(links[i].delay for i in full)
+                    found.append((total, len(full), nodes + (t,), full))
+                    heapq.heappush(worst, -total)
+                    if len(worst) > d:
+                        heapq.heappop(worst)
+                    if len(worst) == d:
+                        kth = -worst[0]
+                    continue
+                step = delay + links[link_index].delay
+                heapq.heappush(frontier, (step + to_t[v], nodes + (v,), route + (link_index,), step, visited | 1 << v))
+        found.sort()
+        return PathSet(s, t, tuple(Path(nodes, route, total) for total, _, nodes, route in found[:d]))
+
+    def route_matrix(self, d: int) -> list:
+        """``routes[a][b]``: the top-``d`` `PathSet` from a to b, None if disconnected.
+
+        The whole matrix is filled on the first call for ``d`` and shared after.
+        """
+        routes = self._routes.get(d)
+        if routes is None:
+            if d < 1:
+                raise ValueError("d must be >= 1")
+            ids = range(len(self.nodes))
+            routes = self._routes[d] = [[self._ranked_paths(a, b, d) for b in ids] for a in ids]
+        return routes
+
     def k_shortest_paths(self, s: int, t: int, d: int) -> PathSet:
         """Up to ``d`` loopless shortest paths from s to t.
 
@@ -145,28 +222,9 @@ class NetworkGraph:
             raise ValueError("d must be >= 1")
         if s not in self._adj or t not in self._adj:
             raise ValueError("unknown node id")
-        key = (s, t, d)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        if s == t:
-            result = PathSet(s, t, (Path((s,), (), 0.0),))
-        else:
-            collected = []
-            kth_delay = math.inf
-            try:
-                for node_seq in nx.shortest_simple_paths(self._nx, s, t, weight="delay"):
-                    path = self.make_path(node_seq)
-                    if len(collected) >= d and path.total_delay > kth_delay + 1e-9:
-                        break
-                    collected.append(path)
-                    if len(collected) >= d:
-                        kth_delay = sorted(p.total_delay for p in collected)[d - 1]
-            except nx.NetworkXNoPath:
-                raise NoPath(f"no route from {s} to {t}") from None
-            collected.sort(key=lambda p: (p.total_delay, p.hop_count, p.nodes))
-            result = PathSet(s, t, tuple(collected[:d]))
-        self._cache[key] = result
+        result = self.route_matrix(d)[s][t]
+        if result is None:
+            raise NoPath(f"no route from {s} to {t}")
         return result
 
     def candidate_sd_paths(self, s: int, dest: int, d: int) -> PathSet:
@@ -179,32 +237,28 @@ class NetworkGraph:
         """
         if s != dest:
             return self.k_shortest_paths(s, dest, d)
-        key = ("sd", s, d)
-        cached = self._cache.get(key)
+        key = (s, d)
+        cached = self._walks.get(key)
         if cached is not None:
             return cached
         if d < 1:
             raise ValueError("d must be >= 1")
         if s not in self._adj:
             raise ValueError("unknown node id")
-        walks = []
-        for v in sorted(self._adj):
-            if v == s:
-                continue
-            try:
-                leg = self.k_shortest_paths(s, v, 1).paths[0]
-            except NoPath:
-                continue
-            walks.append((leg.total_delay, v, leg))
-        walks.sort(key=lambda item: (item[0], item[1]))
+        # the first of the top d paths is the shortest one
+        legs = sorted(
+            (entry.paths[0].total_delay, v, entry.paths[0])
+            for v, entry in enumerate(self.route_matrix(d)[s])
+            if v != s and entry is not None
+        )
         paths = [Path((s,), (), 0.0)]
-        for _, _, leg in walks[: d - 1]:
+        for _, _, leg in legs[: d - 1]:
             nodes = leg.nodes + leg.nodes[-2::-1]
             links = leg.links + leg.links[::-1]
             delay = math.fsum(self.links[i].delay for i in links)
             paths.append(Path(nodes, links, delay))
         result = PathSet(s, s, tuple(paths))
-        self._cache[key] = result
+        self._walks[key] = result
         return result
 
     # -- serialization -----------------------------------------------------

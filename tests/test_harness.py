@@ -312,14 +312,40 @@ class TestCli:
         assert code == 0
         assert len(out.read_text().splitlines()) == 4
 
-    @pytest.mark.parametrize("flag, field", [("--d", "num_paths"), ("--beam", "beam_width")])
-    def test_bad_flag_value_is_a_usage_error(self, flag, field, capsys):
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(["batch", "--d", "0"], "num_paths must be >= 1", id="--d-num_paths"),
+            pytest.param(["batch", "--beam", "0"], "beam_width must be >= 1", id="--beam-beam_width"),
+            *(
+                pytest.param(
+                    [command, "--seed=-1"],
+                    "argument --seed: expected a non-negative integer, not '-1'",
+                    id=f"{command}-negative-seed",
+                )
+                for command in ("batch", "online", "taguchi", "check")
+            ),
+            pytest.param(
+                ["batch", "--seed", "x"], "argument --seed: expected a non-negative integer, not 'x'", id="batch-text-seed"
+            ),
+            pytest.param(
+                ["batch", "--config", "/nonexistent.json"],
+                "--config: cannot read '/nonexistent.json': No such file or directory",
+                id="batch-missing-config",
+            ),
+            pytest.param(
+                ["online", "--config", "."], "--config: cannot read '.': Is a directory", id="online-directory-config"
+            ),
+        ],
+    )
+    def test_bad_flag_value_is_a_usage_error(self, argv, message, capsys, monkeypatch):
+        monkeypatch.setattr("satchain.checks.run_all", lambda seed: pytest.fail("a suite ran"))
         with pytest.raises(SystemExit) as exited:
-            main(["batch", flag, "0"])
+            main(argv)
         assert exited.value.code == 2
         err = capsys.readouterr().err
-        assert err.startswith("usage: satchain batch")
-        assert f"{field} must be >= 1" in err.splitlines()[-1]
+        assert err.startswith(f"usage: satchain {argv[0]}")
+        assert message in err.splitlines()[-1]
 
     @pytest.mark.parametrize(
         "flags, message",

@@ -1,9 +1,15 @@
 import itertools
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import satchain
 from satchain.harness import SimulationConfig
 from satchain.topology import (
     LIGHT_SPEED_KM_PER_S,
@@ -109,6 +115,31 @@ class TestKShortestPaths:
                 assert path.total_delay == delay
                 assert path.hop_count == hops
 
+    # integers, non-dyadic tenths and the constellation's two link delays: many exact and near ties
+    TIE_HEAVY_DELAYS = (1.0, 2.0, 3.0, 0.1, 0.2, 0.3, link_delay(600.0), link_delay(400.0))
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(st.data())
+    def test_matches_exhaustive_enumeration_on_drawn_graphs(self, data):
+        n = data.draw(st.integers(2, 8))
+        density = data.draw(st.sampled_from((0.2, 0.4, 0.6, 0.8, 1.0)))
+        edges = [
+            (u, v, data.draw(st.sampled_from(self.TIE_HEAVY_DELAYS)))
+            for u, v in itertools.combinations(range(n), 2)
+            if data.draw(st.floats(0.0, 1.0)) < density
+        ]
+        graph = make_graph(n, edges)
+        s, t, d = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1)), data.draw(st.integers(1, 10))
+        expected = all_simple_paths(graph, s, t)[:d]
+        if not expected:
+            with pytest.raises(NoPath):
+                graph.k_shortest_paths(s, t, d)
+            return
+        got = graph.k_shortest_paths(s, t, d).paths
+        assert [(p.total_delay, p.hop_count, p.nodes) for p in got] == expected
+        if s == t:
+            assert [(p.nodes, p.links, p.total_delay) for p in got] == [((s,), (), 0.0)]
+
     @pytest.mark.parametrize("nodes", (6, 9, 12, 15))
     def test_routes_are_loopless_on_every_constellation(self, nodes):
         # the beam kernel checks each route link once against one traversal's bandwidth
@@ -121,6 +152,28 @@ class TestKShortestPaths:
     def test_results_are_cached_objects(self, graph6):
         first = graph6.k_shortest_paths(0, 5, 3)
         assert graph6.k_shortest_paths(0, 5, 3) is first
+
+
+def test_fresh_import_never_loads_networkx():
+    # set-up time and peak memory count every module `import satchain` pulls in
+    code = (
+        "import sys\n"
+        "from satchain import SimulationConfig, run_batch\n"
+        "config = SimulationConfig().with_nodes(15)\n"
+        "config.requests = 3\n"
+        "assert config.build_graph().k_shortest_paths(0, 14, 8).paths\n"
+        "assert run_batch(config, 'pgra', seed=1).allocated_fraction > 0\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'networkx'))\n"
+    )
+    src = str(Path(satchain.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n" + code],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"
 
 
 class TestCandidateSourceDestinationPaths:
