@@ -3,13 +3,12 @@
 # resources on expiry, and the server fleet powers up and down around them.
 
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 
 from satchain import OnlineSimulation, SimulationConfig, generate_requests
 
-config = replace(SimulationConfig(), mode="online", slots=20)
+config = SimulationConfig(slots=20)
 sim = OnlineSimulation(config)
 seed = 3
 

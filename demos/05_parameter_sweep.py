@@ -18,7 +18,7 @@ result = run_taguchi(
 print("cell   d  beam   M=10      M=20")
 by_cell = {}
 for row in result.rows:
-    by_cell.setdefault((row["d"], row["beam"]), {})[row["requests"]] = row["mean_phi"]
+    by_cell.setdefault((row.d, row.beam), {})[row.requests] = row.mean_phi
 for number, ((d, beam), phis) in enumerate(sorted(by_cell.items())):
     print(f"{number:4d}  {d:2d}  {beam:4d}   {phis[10]:.4f}   {phis[20]:.4f}")
 

@@ -40,7 +40,6 @@ from .harness import (
     SimulationConfig,
     SlotMetrics,
     TaguchiResult,
-    emit,
     run_batch,
     run_online,
     run_taguchi,
@@ -57,7 +56,6 @@ from .topology import (
     link_delay,
 )
 from .workload import (
-    DEFAULT_RANGES,
     SfcEdge,
     UserRequest,
     VnfSpec,

@@ -113,7 +113,7 @@ def check_feasibility_invariance(
             graph, context, requests = _instance(config, seed + i, m)
             profile, _ = pgra_run(requests, graph, context, config.game_config(), on_commit=audit)
             audit(profile)
-    online = replace(config, mode="online", slots=slots, validate_each_step=True)
+    online = replace(config, slots=slots, validate_each_step=True)
     failures = []
     for r in range(online_runs):
         try:

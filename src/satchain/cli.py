@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from dataclasses import replace
 
 from . import checks
-from .harness import ALGORITHMS, SimulationConfig, check_sweep, emit, emit_text, run_batch, run_online, run_taguchi
+from .harness import ALGORITHMS, SimulationConfig, check_sweep, emit_text, run_batch, run_online, run_taguchi
 
 
 def _seed(text: str) -> int:
@@ -33,7 +34,7 @@ def _add_common(parser):
     parser.add_argument("--nodes", type=int, choices=(6, 9, 12, 15), help="total satellites (3 planes)")
 
 
-def _load_config(args, mode: str) -> SimulationConfig:
+def _load_config(args) -> SimulationConfig:
     if args.config:
         try:
             with open(args.config) as fh:
@@ -52,7 +53,7 @@ def _load_config(args, mode: str) -> SimulationConfig:
         "slots": getattr(args, "slots", None),
     }
     # replace() re-runs the config's validation on the flag values
-    return replace(config, mode=mode, **{name: value for name, value in flags.items() if value is not None})
+    return replace(config, **{name: value for name, value in flags.items() if value is not None})
 
 
 def _levels(text: str, flag: str) -> tuple:
@@ -62,12 +63,15 @@ def _levels(text: str, flag: str) -> tuple:
         raise ValueError(f"{flag} takes comma-separated integers, not {text!r}") from None
 
 
-def _write(results, args) -> None:
-    if args.out:
-        emit(results, args.format, args.out)
-        print(f"wrote {len(results)} rows to {args.out}")
-    else:
-        sys.stdout.write(emit_text(results, args.format))
+def _open_out(path):
+    """The `--out` file, opened before any run so that a bad path is a usage
+    error; stdout, left open on exit, when the flag is absent."""
+    if not path:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w", newline="")
+    except OSError as exc:
+        raise ValueError(f"--out: cannot write {path!r}: {exc.strerror}") from None
 
 
 def main(argv=None) -> int:
@@ -95,44 +99,38 @@ def main(argv=None) -> int:
     check.add_argument("--seed", type=_seed, default=0)
 
     args = parser.parse_args(argv)
-    if args.command in ("batch", "online", "taguchi"):
-        try:
-            config = _load_config(args, "online" if args.command == "online" else "batch")
-            if args.command == "taguchi":
-                sweep = {
-                    "d_levels": _levels(args.d_levels, "--d-levels"),
-                    "b_levels": _levels(args.b_levels, "--b-levels"),
-                    "m_values": _levels(args.m_values, "--m-values"),
-                    "repetitions": args.repetitions,
-                }
-                check_sweep(config, **sweep)
-        except ValueError as exc:  # a bad value from a flag or the config file
-            sub.choices[args.command].error(str(exc))
-
-    if args.command == "batch":
-        _write([run_batch(config, args.algorithm, args.seed)], args)
-        return 0
-    if args.command == "online":
-        _write(run_online(config, args.algorithm, args.seed), args)
-        return 0
-    if args.command == "taguchi":
-        result = run_taguchi(config, seed=args.seed, **sweep)
-        text = result.to_csv_text() if args.format == "csv" else result.to_json_text()
-        if args.out:
-            with open(args.out, "w", newline="") as fh:
-                fh.write(text)
-            print(f"wrote sweep table to {args.out}")
-        else:
-            sys.stdout.write(text)
-        return 0
     if args.command == "check":
         failures = 0
         for name, ok, detail in checks.run_all(args.seed):
             print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
             failures += 0 if ok else 1
         return 1 if failures else 0
-    return 2
+    try:
+        config = _load_config(args)
+        if args.command == "taguchi":
+            sweep = {
+                "d_levels": _levels(args.d_levels, "--d-levels"),
+                "b_levels": _levels(args.b_levels, "--b-levels"),
+                "m_values": _levels(args.m_values, "--m-values"),
+                "repetitions": args.repetitions,
+            }
+            check_sweep(config, **sweep)
+        out = _open_out(args.out)
+    except ValueError as exc:  # a bad flag value, config file or --out path
+        sub.choices[args.command].error(str(exc))
 
+    with out as fh:
+        if args.command == "batch":
+            text = emit_text([run_batch(config, args.algorithm, args.seed)], args.format)
+        elif args.command == "online":
+            text = emit_text(run_online(config, args.algorithm, args.seed), args.format)
+        else:
+            result = run_taguchi(config, seed=args.seed, **sweep)
+            text = result.to_csv_text() if args.format == "csv" else result.to_json_text()
+        fh.write(text)
+    if args.out:
+        print(f"wrote {args.out}")
+    return 0
 
 if __name__ == "__main__":
     raise SystemExit(main())

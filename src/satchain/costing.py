@@ -11,11 +11,10 @@ payoff difference.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from .energy import Mode, ServerState, vnf_power_attribution
-from .topology import NetworkGraph, Path
+from .energy import Mode, vnf_power_attribution
+from .topology import NetworkGraph
 from .workload import UserRequest
 
 
@@ -123,20 +122,7 @@ class ContextView:
     search touches nothing but list lookups.
     """
 
-    __slots__ = (
-        "free_cpu",
-        "free_mem",
-        "free_bw",
-        "mode",
-        "serves_next",
-        "idle_charged",
-        "params",
-        "p_idle",
-        "p_max",
-        "power_coeff",
-        "capacity_cpu",
-        "idle_charge",
-    )
+    __slots__ = ("free_cpu", "free_mem", "free_bw", "mode", "serves_next", "idle_charged", "idle_charge")
 
     @classmethod
     def build(cls, graph: NetworkGraph, profile: StrategyProfile, exclude: int | None = None) -> "ContextView":
@@ -149,13 +135,6 @@ class ContextView:
         view.mode = [ctx.server_states[node.id].mode for node in graph.nodes]
         view.serves_next = [False] * n
         view.idle_charged = [False] * n
-        view.params = [node.power for node in graph.nodes]
-        view.p_idle = [node.power.p_idle for node in graph.nodes]
-        view.p_max = [node.power.p_max for node in graph.nodes]
-        view.capacity_cpu = [node.capacity["cpu"] for node in graph.nodes]
-        view.power_coeff = [
-            (node.power.p_max - node.power.p_idle) / node.capacity["cpu"] for node in graph.nodes
-        ]
         view.idle_charge = ctx.idle_charge
 
         def consume(request: UserRequest, strategy: Strategy, keeps_running: bool):
@@ -185,18 +164,14 @@ class ContextView:
 # -- cost components -------------------------------------------------------
 
 
-def bandwidth_units(strategy: Strategy, request: UserRequest) -> float:
-    total = 0.0
-    for edge, route in zip(request.edges, strategy.routes):
-        total += edge.bandwidth * route.hop_count
-    return total
-
-
 def bandwidth_cost(strategy: Strategy, request: UserRequest, graph: NetworkGraph) -> float:
     """Bandwidth consumed by the chosen routes over the network total."""
     if graph.total_bandwidth == 0:  # linkless graph: only zero-hop routes exist
         return 0.0
-    return bandwidth_units(strategy, request) / graph.total_bandwidth
+    total = 0.0
+    for edge, route in zip(request.edges, strategy.routes):
+        total += edge.bandwidth * route.hop_count
+    return total / graph.total_bandwidth
 
 
 def delay_cost(strategy: Strategy, request: UserRequest) -> float:
@@ -209,8 +184,9 @@ def delay_cost(strategy: Strategy, request: UserRequest) -> float:
     return total / request.max_delay
 
 
-def energy_power_watts(strategy: Strategy, request: UserRequest, view: ContextView) -> float:
-    """Power charged to the request's VNFs, walked in chain order.
+def energy_cost(strategy: Strategy, request: UserRequest, graph: NetworkGraph, view: ContextView) -> float:
+    """Power charged to the request's VNFs, walked in chain order, over the
+    network's total peak power.
 
     On an idle server the baseline draw is charged to the first VNF landing
     there this slot (across requests) unless the view was built with
@@ -223,6 +199,7 @@ def energy_power_watts(strategy: Strategy, request: UserRequest, view: ContextVi
         if vnf.is_pseudo:
             continue
         host = strategy.hosts[i]
+        node = graph.nodes[host]
         mode = view.mode[host]
         serves = serves_self or view.serves_next[host]
         already = view.idle_charged[host] or host in idle_paid
@@ -230,19 +207,14 @@ def energy_power_watts(strategy: Strategy, request: UserRequest, view: ContextVi
             mode,
             serves,
             vnf.cpu,
-            view.capacity_cpu[host],
-            view.params[host],
+            node.capacity["cpu"],
+            node.power,
             idle_already_charged=already,
             idle_charge=view.idle_charge,
         )
         if mode is Mode.IDLE and not serves:
             idle_paid.add(host)
-    return total
-
-
-def energy_cost(strategy: Strategy, request: UserRequest, graph: NetworkGraph, view: ContextView) -> float:
-    """Attributed power over the network's total peak power."""
-    return energy_power_watts(strategy, request, view) / graph.total_p_max
+    return total / graph.total_p_max
 
 
 def user_payoff(bw: float, power: float, delay: float, weights: Weights) -> float:

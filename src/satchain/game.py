@@ -23,25 +23,23 @@ checks the cached dynamics independently.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import dataclass, field
 
 from .costing import StrategyProfile, SlotContext, Strategy, network_payoff
 from .placement import PlacementConfig, best_response
 from .topology import NetworkGraph
 
+EPSILON = 1e-9  # the smallest payoff gain that counts as an improving move
+
 
 @dataclass(frozen=True)
 class GameConfig:
     k_max: int = 100
-    epsilon: float = 1e-9
     placement: PlacementConfig = PlacementConfig()
 
     def __post_init__(self):
         if self.k_max < 1:
             raise ValueError("k_max must be >= 1")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
 
 
 @dataclass(frozen=True)
@@ -68,26 +66,20 @@ class GameTrace:
         False when ``k_max`` cut it off after a commit."""
         return bool(self.rows) and self.rows[-1].winner is None
 
-    def to_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(f.name for f in fields(IterationRecord))
-            writer.writerows(astuple(row) for row in self.rows)
-
 
 def _improving_move(request, profile: StrategyProfile, graph: NetworkGraph, config: GameConfig, memo=None):
     """(best response, payoff gain) when it is a move, else None.
 
     A best response that merely re-prices the current placement under a
     shifted context is not a move; only a structurally different proposal
-    with a payoff gain above epsilon counts.  `memo` goes to `best_response`.
+    with a payoff gain above `EPSILON` counts.  `memo` goes to `best_response`.
     """
     current = profile.strategies[request.id]
     proposal = best_response(request, profile, graph, config.placement, memo)
     if proposal is None or proposal.same_placement(current):
         return None
     gain = proposal.payoff - current.payoff
-    return (proposal, gain) if gain > config.epsilon else None
+    return (proposal, gain) if gain > EPSILON else None
 
 
 def pgra_run(
@@ -100,7 +92,7 @@ def pgra_run(
     """Run the dynamics for one slot's requests; returns (profile, trace).
 
     All strategies start unallocated.  The run stops when no request proposes
-    an improving change (payoff gain above epsilon) or after ``k_max``
+    an improving change (payoff gain above `EPSILON`) or after ``k_max``
     iterations.  ``on_commit``, when given, is called with the profile after
     every committed iteration (used by validation harnesses).
     """

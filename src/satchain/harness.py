@@ -55,22 +55,19 @@ class SimulationConfig:
     num_paths: int = 8
     beam_width: int | None = 4
     k_max: int = 100
-    epsilon: float = 1e-9
     idle_charge: str = "once"
-    mode: str = "batch"
     requests: int = 10
     slots: int = 50
     requests_per_slot: tuple = (5, 10)
     validate_each_step: bool = False
 
     def __post_init__(self):
-        if self.mode not in ("batch", "online"):
-            raise ValueError("mode must be 'batch' or 'online'")
         if self.idle_charge not in ("once", "per_vnf"):
             raise ValueError("idle_charge must be 'once' or 'per_vnf'")
-        for name in ("requests", "slots"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        if self.requests < 0:  # a zero-request batch still emits its one row
+            raise ValueError("requests must be >= 0")
+        if self.slots < 1:
+            raise ValueError("slots must be >= 1")
         bounds = self.requests_per_slot
         if not (
             isinstance(bounds, (tuple, list))
@@ -106,7 +103,7 @@ class SimulationConfig:
         return PlacementConfig(self.num_paths, self.beam_width, self.weights)
 
     def game_config(self) -> GameConfig:
-        return GameConfig(self.k_max, self.epsilon, self.placement_config())
+        return GameConfig(self.k_max, self.placement_config())
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
@@ -198,8 +195,15 @@ def _metrics(profile: StrategyProfile, slot, algorithm, seed, iterations) -> Slo
     )
 
 
+def _check_seed(seed: int) -> None:
+    """Raise ValueError naming the seed unless numpy's seed sequences take it."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, not {seed}")
+
+
 def run_batch(config: SimulationConfig, algorithm: str, seed: int, graph: NetworkGraph | None = None) -> SlotMetrics:
     """One batch of requests, one allocation algorithm: slot 0 of an on-line run."""
+    _check_seed(seed)
     sim = OnlineSimulation(config, graph)
     requests = generate_requests(config.requests, sim.graph, config.ranges, seed, slot=0, d=config.num_paths)
     return sim.step(0, requests, algorithm, seed)
@@ -257,6 +261,7 @@ class OnlineSimulation:
 
 def run_online(config: SimulationConfig, algorithm: str, seed: int, graph: NetworkGraph | None = None) -> list:
     """Time-slotted run; per slot, a fresh uniform batch of arrivals."""
+    _check_seed(seed)
     sim = OnlineSimulation(config, graph)
     lo, hi = config.requests_per_slot
     results = []
@@ -274,24 +279,28 @@ def run_online(config: SimulationConfig, algorithm: str, seed: int, graph: Netwo
 # -- parameter sweep ---------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class SweepRow:
+    number: int  # the (d, beam) cell
+    d: int
+    beam: int | None
+    requests: int
+    mean_phi: float
+
+
 @dataclass
 class TaguchiResult:
     """L16-style sweep output: one row per (paths, beam) cell and request
     count, plus per-factor main effects (mean over rows sharing a level)."""
 
-    rows: list  # dicts: number, d, beam, requests, mean_phi
+    rows: list  # SweepRow
     effects: dict  # factor -> {level -> {requests -> mean phi}}
 
     def to_csv_text(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["number", "d", "beam", "requests", "mean_phi"])
-        for row in self.rows:
-            writer.writerow([row["number"], row["d"], row["beam"], row["requests"], repr(row["mean_phi"])])
-        return out.getvalue()
+        return emit_text(self.rows, "csv")
 
     def to_json_text(self) -> str:
-        return json.dumps({"rows": self.rows, "effects": self.effects}, indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 def derive_seed(master: int, *parts: int) -> int:
@@ -327,6 +336,7 @@ def run_taguchi(
     every (d, beam) cell sees the same workloads and cells are directly
     comparable.
     """
+    _check_seed(seed)
     check_sweep(config, d_levels, b_levels, m_values, repetitions)
     if graph is None:
         graph = config.build_graph()
@@ -340,16 +350,14 @@ def run_taguchi(
                 for rep in range(repetitions):
                     run_cfg = replace(cell_cfg, requests=m)
                     phis.append(run_batch(run_cfg, "pgra", derive_seed(seed, m, rep), graph=graph).phi)
-                rows.append(
-                    {"number": number, "d": d, "beam": beam, "requests": m, "mean_phi": fmean(phis)}
-                )
+                rows.append(SweepRow(number, d, beam, m, fmean(phis)))
             number += 1
     effects: dict = {"d": {}, "beam": {}}
     for factor in effects:
-        for level in sorted({row[factor] for row in rows}):
+        for level in sorted({getattr(row, factor) for row in rows}):
             per_m: dict = {}
             for m in m_values:
-                cells = [row["mean_phi"] for row in rows if row[factor] == level and row["requests"] == m]
+                cells = [row.mean_phi for row in rows if getattr(row, factor) == level and row.requests == m]
                 per_m[m] = fmean(cells)
             effects[factor][level] = per_m
     return TaguchiResult(rows, effects)
@@ -357,34 +365,18 @@ def run_taguchi(
 
 # -- emission ----------------------------------------------------------------
 
-CSV_HEADER = [f.name for f in fields(SlotMetrics)]
 
-
-def metrics_rows(results: list) -> list:
-    return [asdict(m) for m in results]
-
-
-def emit_text(results: list, fmt: str) -> str:
-    if not results:
+def emit_text(rows: list, fmt: str) -> str:
+    """CSV or JSON text of dataclass rows, keyed by their fields; bit-stable for fixed inputs."""
+    if not rows:
         raise ValueError("nothing to emit")
     if fmt == "json":
-        return json.dumps(metrics_rows(results), indent=2)
+        return json.dumps([asdict(row) for row in rows], indent=2)
     if fmt == "csv":
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
+        writer.writerow(f.name for f in fields(rows[0]))
         # the csv module writes floats with repr(), so rows are bit-stable
-        writer.writerows(astuple(m) for m in results)
+        writer.writerows(astuple(row) for row in rows)
         return out.getvalue()
     raise ValueError(f"unknown format {fmt!r}")
-
-
-def emit(results: list, fmt: str, path: str) -> str:
-    """Write metrics to `path`; bit-stable for fixed inputs."""
-    text = emit_text(results, fmt)
-    try:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise OSError(f"cannot write results to {path}: {exc}") from exc
-    return path

@@ -169,6 +169,7 @@ def _beam_search(
     # idle ownership only matters for single-slot requests under once-only charging
     track_idle = view.idle_charge == "once" and not serves_self
     modes, free_cpu, free_mem, free_bw = view.mode, view.free_cpu, view.free_mem, view.free_bw
+    p_idle, p_max, power_coeff = graph.p_idle, graph.p_max, graph.power_coeff
     flagged = cpu_passed = cpu_blocked = mem_passed = mem_blocked = bw_passed = bw_blocked = None
     if certificate is not None:
         flagged = certificate.flagged
@@ -246,16 +247,16 @@ def _beam_search(
                         flagged.add(node_id)
                     if mode is Mode.OFF_AVAILABLE:
                         if not serves:
-                            power_w += view.p_max[node_id]
+                            power_w += p_max[node_id]
                     elif mode is Mode.IDLE and not serves:
-                        power_w += vnf.cpu * view.power_coeff[node_id]
+                        power_w += vnf.cpu * power_coeff[node_id]
                         if view.idle_charge == "per_vnf":
-                            power_w += view.p_idle[node_id]
+                            power_w += p_idle[node_id]
                         elif not (view.idle_charged[node_id] or state.idle_paid[node_id]):
-                            power_w += view.p_idle[node_id]
+                            power_w += p_idle[node_id]
                             pays_idle = True
                     else:
-                        power_w += vnf.cpu * view.power_coeff[node_id]
+                        power_w += vnf.cpu * power_coeff[node_id]
                 payoff = (
                     1.0
                     - weights.bw * (bw_units * inv_bw_total)

@@ -123,6 +123,10 @@ class NetworkGraph:
             self._adj[link.v].append((link.u, link.index))
         self.total_bandwidth = sum(l.bandwidth for l in self.links)
         self.total_p_max = sum(n.power.p_max for n in self.nodes)
+        # per-node power constants, indexed by node id, that the placement kernel reads
+        self.p_idle = [n.power.p_idle for n in self.nodes]
+        self.p_max = [n.power.p_max for n in self.nodes]
+        self.power_coeff = [(n.power.p_max - n.power.p_idle) / n.capacity["cpu"] for n in self.nodes]
         self._routes: dict = {}  # d -> route matrix
         self._to_target: dict = {}  # t -> shortest delay from every node to t
         self._walks: dict = {}  # (s, d) -> same-node candidate walks
@@ -218,8 +222,6 @@ class NetworkGraph:
         the result is the single zero-hop path.  Raises `NoPath` when the
         endpoints are disconnected.
         """
-        if d < 1:
-            raise ValueError("d must be >= 1")
         if s not in self._adj or t not in self._adj:
             raise ValueError("unknown node id")
         result = self.route_matrix(d)[s][t]
@@ -241,8 +243,6 @@ class NetworkGraph:
         cached = self._walks.get(key)
         if cached is not None:
             return cached
-        if d < 1:
-            raise ValueError("d must be >= 1")
         if s not in self._adj:
             raise ValueError("unknown node id")
         # the first of the top d paths is the shortest one

@@ -95,8 +95,6 @@ class WorkloadRanges:
                 raise ValueError("ranges must satisfy 1 <= lo <= hi")
 
 
-DEFAULT_RANGES = WorkloadRanges()
-
 
 def _acceptable_delay(source: int, destination: int, exec_total: float, graph: NetworkGraph, d: int) -> float:
     cset = graph.candidate_sd_paths(source, destination, d)
@@ -112,7 +110,7 @@ def max_acceptable_delay(request: UserRequest, graph: NetworkGraph, d: int) -> f
 def generate_requests(
     count: int,
     graph: NetworkGraph,
-    ranges: WorkloadRanges = DEFAULT_RANGES,
+    ranges: WorkloadRanges = WorkloadRanges(),
     rng_seed: int = 0,
     slot: int = 0,
     *,
@@ -163,24 +161,19 @@ def generate_requests(
     return requests
 
 
-def request_to_dict(request: UserRequest) -> dict:
-    return asdict(request)
-
-
-def request_from_dict(doc: dict) -> UserRequest:
-    return UserRequest(
-        **{
-            **doc,
-            "vnfs": tuple(VnfSpec(**v) for v in doc["vnfs"]),
-            "edges": tuple(SfcEdge(**e) for e in doc["edges"]),
-        }
-    )
-
-
 def workload_to_json(requests: list) -> str:
     """Serialize a workload so a run can be replayed byte-for-byte."""
-    return json.dumps([request_to_dict(r) for r in requests], indent=2)
+    return json.dumps([asdict(r) for r in requests], indent=2)
 
 
 def workload_from_json(text: str) -> list:
-    return [request_from_dict(doc) for doc in json.loads(text)]
+    return [
+        UserRequest(
+            **{
+                **doc,
+                "vnfs": tuple(VnfSpec(**v) for v in doc["vnfs"]),
+                "edges": tuple(SfcEdge(**e) for e in doc["edges"]),
+            }
+        )
+        for doc in json.loads(text)
+    ]

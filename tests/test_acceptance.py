@@ -122,7 +122,7 @@ def test_7_small_load_fully_allocated():
 def test_8_sweep_prefers_wide_search():
     started = time.perf_counter()
     result = run_taguchi(BASE, repetitions=10, seed=0, graph=GRAPH6)
-    cells = {(row["d"], row["beam"], row["requests"]): row["mean_phi"] for row in result.rows}
+    cells = {(row.d, row.beam, row.requests): row.mean_phi for row in result.rows}
     for m in (10, 20, 30):
         assert cells[(8, 4, m)] >= cells[(1, 1, m)], f"M={m}: wide search lost to the narrowest"
     band = 0.01

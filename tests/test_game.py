@@ -20,7 +20,7 @@ from oracles import enumerate_request_strategies
 
 
 def small_config(num_paths=4, beam=4):
-    return GameConfig(k_max=100, epsilon=1e-9, placement=PlacementConfig(num_paths, beam))
+    return GameConfig(k_max=100, placement=PlacementConfig(num_paths, beam))
 
 
 class TestPgraRun:
@@ -104,15 +104,6 @@ class TestPgraRun:
 
         pgra_run(requests, graph6, idle_context(graph6), small_config(), on_commit=on_commit)
         assert seen and all(count == 0 for count in seen)
-
-    def test_trace_csv(self, graph6, tmp_path):
-        requests = generate_requests(3, graph6, rng_seed=2, d=2)
-        _, trace = pgra_run(requests, graph6, idle_context(graph6), small_config())
-        out = tmp_path / "trace.csv"
-        trace.to_csv(str(out))
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "iteration,winner,phi_before,phi_after,improvement,proposals"
-        assert len(lines) == trace.iterations + 1
 
 
 class TestIsNash:

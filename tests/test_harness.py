@@ -11,8 +11,8 @@ from satchain.harness import (
     OnlineSimulation,
     SimulationConfig,
     SlotMetrics,
+    SweepRow,
     derive_seed,
-    emit,
     emit_text,
     run_batch,
     run_online,
@@ -74,7 +74,6 @@ class TestOnlineSimulation:
             sats_per_plane=2,
             cpu=20.0,
             memory=64.0,
-            mode="online",
             num_paths=2,
             beam_width=4,
         )
@@ -131,14 +130,14 @@ class TestOnlineSimulation:
         assert sim.fleet.timeline[-1][3] == 415.0
 
     def test_single_slot_online_equals_batch(self):
-        config = SimulationConfig(mode="online", slots=1, requests_per_slot=(6, 6), requests=6)
+        config = SimulationConfig(slots=1, requests_per_slot=(6, 6), requests=6)
         online = run_online(config, "pgra", seed=9)[0]
-        batch = run_batch(replace(config, mode="batch"), "pgra", seed=9)
+        batch = run_batch(config, "pgra", seed=9)
         assert online.phi == batch.phi
         assert online.allocated_fraction == batch.allocated_fraction
 
     def test_full_run_shape_and_determinism(self):
-        config = SimulationConfig(mode="online", slots=6, validate_each_step=True)
+        config = SimulationConfig(slots=6, validate_each_step=True)
         a = run_online(config, "pgra", seed=4)
         b = run_online(config, "pgra", seed=4)
         assert a == b
@@ -153,9 +152,7 @@ class TestTaguchi:
         config = SimulationConfig()
         result = run_taguchi(config, d_levels=(2,), b_levels=(2,), m_values=(4,), repetitions=1, seed=5)
         direct = run_batch(replace(config, num_paths=2, beam_width=2, requests=4), "pgra", derive_seed(5, 4, 0))
-        assert result.rows == [
-            {"number": 0, "d": 2, "beam": 2, "requests": 4, "mean_phi": direct.phi}
-        ]
+        assert result.rows == [SweepRow(number=0, d=2, beam=2, requests=4, mean_phi=direct.phi)]
 
     def test_table_and_effect_shapes(self):
         config = SimulationConfig()
@@ -171,7 +168,21 @@ class TestTaguchi:
         text = result.to_csv_text()
         assert text.splitlines()[0] == "number,d,beam,requests,mean_phi"
         parsed = json.loads(result.to_json_text())
-        assert len(parsed["rows"]) == 8
+        assert [SweepRow(**row) for row in parsed["rows"]] == result.rows
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        pytest.param(lambda config: run_batch(config, "pgra", seed=-1), id="run_batch"),
+        pytest.param(lambda config: run_online(config, "pgra", seed=-1), id="run_online"),
+        pytest.param(lambda config: run_taguchi(config, repetitions=1, seed=-1), id="run_taguchi"),
+    ],
+)
+def test_negative_seed_fails_before_any_draw(run, monkeypatch):
+    monkeypatch.setattr("satchain.harness.generate_requests", lambda *args, **kwargs: pytest.fail("a draw ran"))
+    with pytest.raises(ValueError, match="seed must be >= 0, not -1"):
+        run(SimulationConfig(requests=1, slots=1))
 
 
 class TestEmission:
@@ -181,33 +192,41 @@ class TestEmission:
             SlotMetrics(1, "pgra", 7, 2.5, 0.5, 0.015, 0.025, 0.95, 4),
         ]
 
-    def test_csv_header_and_stability(self, tmp_path):
-        out = tmp_path / "metrics.csv"
-        emit(self._metrics(), "csv", str(out))
-        text = out.read_text()
+    def test_csv_header_and_stability(self):
+        text = emit_text(self._metrics(), "csv")
         assert text.splitlines()[0] == (
             "slot,algorithm,seed,phi,allocated_fraction,mean_bw,mean_power,mean_delay,iterations"
         )
-        assert emit_text(self._metrics(), "csv") == text
+        assert text.splitlines()[1] == "0,pgra,7,3.25,1.0,0.01,0.02,0.9,5"
 
     def test_json_round_trip(self):
         records = self._metrics()
         parsed = [SlotMetrics(**row) for row in json.loads(emit_text(records, "json"))]
         assert parsed == records
 
-    def test_empty_results_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            emit([], "csv", str(tmp_path / "x.csv"))
+    def test_empty_results_rejected(self):
+        with pytest.raises(ValueError, match="nothing to emit"):
+            emit_text([], "csv")
 
-    def test_zero_request_run_still_emits_one_row(self, tmp_path):
+    def test_zero_request_run_still_emits_one_row(self):
         metrics = run_batch(SimulationConfig(requests=0), "pgra", seed=0)
-        out = tmp_path / "empty.csv"
-        emit([metrics], "csv", str(out))
-        assert len(out.read_text().splitlines()) == 2
+        assert len(emit_text([metrics], "csv").splitlines()) == 2
 
-    def test_bad_path_mentions_location(self):
-        with pytest.raises(OSError, match="no/such/dir"):
-            emit(self._metrics(), "csv", "no/such/dir/file.csv")
+    def test_bad_path_mentions_location(self, capsys, monkeypatch):
+        def no_run(*args, **kwargs):
+            pytest.fail("a run started")
+
+        for name in ("run_batch", "run_online", "run_taguchi"):
+            monkeypatch.setattr(f"satchain.cli.{name}", no_run)
+        for command in ("batch", "online", "taguchi"):
+            with pytest.raises(SystemExit) as exited:
+                main([command, "--out", "no/such/dir/file.csv"])
+            assert exited.value.code == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"usage: satchain {command}")
+            assert err.splitlines()[-1].endswith(
+                "--out: cannot write 'no/such/dir/file.csv': No such file or directory"
+            )
 
 
 class TestConfig:
@@ -220,10 +239,6 @@ class TestConfig:
         for total in (6, 9, 12, 15):
             config = SimulationConfig().with_nodes(total)
             assert len(config.build_graph().nodes) == total
-
-    def test_rejects_bad_mode(self):
-        with pytest.raises(ValueError):
-            SimulationConfig(mode="replay")
 
     def test_rejects_inverted_requests_per_slot(self):
         with pytest.raises(ValueError, match="requests_per_slot"):
@@ -240,6 +255,8 @@ class TestConfig:
     def test_rejects_negative_slot_count(self):
         with pytest.raises(ValueError, match="slots"):
             SimulationConfig(slots=-1)
+        with pytest.raises(ValueError, match="slots must be >= 1"):
+            SimulationConfig.from_json('{"slots": 0}')
 
     @pytest.mark.parametrize(
         "key, value",
@@ -251,10 +268,11 @@ class TestConfig:
         with pytest.raises(ValueError, match=key):
             SimulationConfig.from_json(json.dumps({key: value}))
 
-    def test_from_json_rejects_unknown_top_level_key(self):
+    @pytest.mark.parametrize("key", ["beam", "mode", "epsilon"])
+    def test_from_json_rejects_unknown_top_level_key(self, key):
         doc = json.loads(SimulationConfig().to_json())
-        doc["beam"] = 2
-        with pytest.raises(ValueError, match="'beam' in the top level"):
+        doc[key] = 2
+        with pytest.raises(ValueError, match=f"'{key}' in the top level"):
             SimulationConfig.from_json(json.dumps(doc))
 
     def test_from_json_rejects_unknown_ranges_key(self):
@@ -336,6 +354,7 @@ class TestCli:
             pytest.param(
                 ["online", "--config", "."], "--config: cannot read '.': Is a directory", id="online-directory-config"
             ),
+            pytest.param(["online", "--slots", "0"], "slots must be >= 1", id="online-zero-slots"),
         ],
     )
     def test_bad_flag_value_is_a_usage_error(self, argv, message, capsys, monkeypatch):
@@ -405,7 +424,7 @@ class TestOutputDigest:
     digest unchanged; a deliberate behaviour change updates it and says so.
     """
 
-    DIGEST = "b941c0e75a1736c8d7c446d24fb8313945640a545f08fe96f19c6f90fd2e81c4"
+    DIGEST = "ef71401b7e9ec8bea2ce789bf6c6ba0d93d69c4fedcbabc8473bd5378a8c502d"
     SEEDS = {"pgra": (0,), "viterbi": (0, 1), "greedy": (0, 1, 2, 3)}
 
     def _texts(self):
@@ -418,7 +437,7 @@ class TestOutputDigest:
                 for algorithm, seeds in self.SEEDS.items():
                     for seed in seeds:
                         batch = [run_batch(base, algorithm, seed, graph=graph)]
-                        online = run_online(replace(base, mode="online"), algorithm, seed, graph=graph)
+                        online = run_online(base, algorithm, seed, graph=graph)
                         for results in (batch, online):
                             yield emit_text(results, "csv")
                             yield emit_text(results, "json")

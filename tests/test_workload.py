@@ -1,17 +1,17 @@
+import json
 import math
 
 import pytest
 
 from satchain.topology import link_delay
 from satchain.workload import (
-    DEFAULT_RANGES,
     UserRequest,
     VnfSpec,
     WorkloadRanges,
     generate_requests,
     max_acceptable_delay,
-    request_from_dict,
-    request_to_dict,
+    workload_from_json,
+    workload_to_json,
 )
 
 from conftest import make_graph, make_request
@@ -99,15 +99,15 @@ class TestValidation:
     def test_ranges_validate(self):
         with pytest.raises(ValueError):
             WorkloadRanges(vnf_count=(5, 4))
-        assert DEFAULT_RANGES.vnf_count == (5, 10)
+        assert WorkloadRanges().vnf_count == (5, 10)
 
     def test_round_trip_through_dict(self, graph6):
-        request = generate_requests(1, graph6, rng_seed=9)[0]
-        assert request_from_dict(request_to_dict(request)) == request
+        request = generate_requests(1, graph6, rng_seed=9, slot=3)[0]
+        (doc,) = json.loads(workload_to_json([request]))
+        assert doc["arrival_slot"] == 3 and doc["vnfs"][0]["is_pseudo"] is True
+        assert workload_from_json(json.dumps([doc])) == [request]
 
     def test_workload_replay_round_trip(self, graph6):
-        from satchain.workload import workload_from_json, workload_to_json
-
         requests = generate_requests(7, graph6, rng_seed=31)
         text = workload_to_json(requests)
         assert workload_from_json(text) == requests
