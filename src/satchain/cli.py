@@ -24,14 +24,19 @@ def _seed(text: str) -> int:
 
 def _add_common(parser):
     parser.add_argument("--config", help="JSON config file (flags override its values)")
-    parser.add_argument("--algorithm", choices=ALGORITHMS, default="pgra")
     parser.add_argument("--seed", type=_seed, default=0)
     parser.add_argument("--out", help="output file; stdout when omitted")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    parser.add_argument("--nodes", type=int, choices=(6, 9, 12, 15), help="total satellites (3 planes)")
+
+
+def _add_run(parser):
+    """Flags of one run; the sweep sets the algorithm, paths, beam and requests itself."""
+    _add_common(parser)
+    parser.add_argument("--algorithm", choices=ALGORITHMS, default="pgra")
     parser.add_argument("--d", type=int, help="candidate paths per request")
     parser.add_argument("--beam", type=int, help="beam width")
     parser.add_argument("--requests", type=int, help="requests per batch")
-    parser.add_argument("--nodes", type=int, choices=(6, 9, 12, 15), help="total satellites (3 planes)")
 
 
 def _load_config(args) -> SimulationConfig:
@@ -47,9 +52,9 @@ def _load_config(args) -> SimulationConfig:
     if args.nodes is not None:
         config = config.with_nodes(args.nodes)
     flags = {
-        "num_paths": args.d,
-        "beam_width": args.beam,
-        "requests": args.requests,
+        "num_paths": getattr(args, "d", None),
+        "beam_width": getattr(args, "beam", None),
+        "requests": getattr(args, "requests", None),
         "slots": getattr(args, "slots", None),
     }
     # replace() re-runs the config's validation on the flag values
@@ -82,13 +87,14 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     batch = sub.add_parser("batch", help="one slot, one batch of requests")
-    _add_common(batch)
+    _add_run(batch)
 
     online = sub.add_parser("online", help="slotted simulation with arrivals and expiries")
-    _add_common(online)
+    _add_run(online)
     online.add_argument("--slots", type=int, help="number of slots")
 
-    taguchi = sub.add_parser("taguchi", help="paths-by-beam orthogonal sweep")
+    # no abbreviations, or a batch flag such as --d would be read as --d-levels
+    taguchi = sub.add_parser("taguchi", help="paths-by-beam orthogonal sweep", allow_abbrev=False)
     _add_common(taguchi)
     taguchi.add_argument("--repetitions", type=int, default=10)
     taguchi.add_argument("--d-levels", default="1,2,4,8", help="comma-separated path-count levels")
@@ -98,7 +104,9 @@ def main(argv=None) -> int:
     check = sub.add_parser("check", help="run the built-in property suites")
     check.add_argument("--seed", type=_seed, default=0)
 
-    args = parser.parse_args(argv)
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:  # reported with the subcommand's usage line, which lists the flags it takes
+        sub.choices[args.command].error(f"unrecognized arguments: {' '.join(unknown)}")
     if args.command == "check":
         failures = 0
         for name, ok, detail in checks.run_all(args.seed):

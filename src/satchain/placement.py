@@ -13,6 +13,10 @@ running delay within budget).  After each stage the partial placements are
 ranked by payoff, ties broken by fewer hops then lexicographic host sequence,
 and truncated to the beam width; truncation keeps a prefix of a fixed total
 order, so a wider beam never does worse.
+
+A partial placement is fixed by its host tuple, so the corridor runs of one
+best response share a table of states keyed by it: each expansion, state
+and priced result is computed once per best response.
 """
 
 from __future__ import annotations
@@ -41,7 +45,13 @@ class PlacementConfig:
 
 @dataclass(slots=True)
 class _Beam:
-    """A partial placement: hosts so far plus running cost accumulators."""
+    """A partial placement: hosts so far plus running cost accumulators.
+
+    `grown` caches the expansion to each node tried from here (the scored
+    tuple, or None when the node cannot take the next VNF), and `strategy`
+    the priced result of a complete placement, so corridors sharing a table
+    compute each once.
+    """
 
     hosts: tuple
     routes: tuple
@@ -53,14 +63,16 @@ class _Beam:
     used_mem: list
     used_bw: list
     idle_paid: list | None
+    grown: dict
+    strategy: Strategy | None = None
 
 
 _UNTESTED_PASS, _UNTESTED_BLOCK = -math.inf, math.inf
 
 
 class Certificate:
-    """What one kernel run read from its view: enough to show that a run on a
-    later view would return the same result.
+    """What one best response's kernel runs read from their view: enough to
+    show that runs on a later view would return the same results.
 
     The kernel reads a view only through capacity and bandwidth tests
     ``free - used < need - 1e-9`` and the ``serves_next``/``idle_charged``
@@ -75,7 +87,12 @@ class Certificate:
     smallest that blocked (-inf and inf where none did; no check fails on
     them).  For fixed ``free`` and ``need`` the rounded ``free - used`` never
     rises as ``used`` rises, so if those two still pass and block, so does
-    every test the kernel made, and it takes the same steps.
+    every recorded test.  Every block, bandwidth pass and flag read is
+    recorded, but a capacity pass only when its expansion becomes a beam
+    state: an expansion that truncation dropped can vanish on a later view
+    without changing the beam, while a bandwidth pass that flips could pick a
+    later route with a better payoff.  One certificate serves all corridor
+    runs of a best response, which share expansions.
     """
 
     __slots__ = ("cpu", "mem", "bw", "flagged", "tests", "flags")
@@ -95,18 +112,18 @@ class Certificate:
     def seal(self, view: ContextView) -> None:
         """Keep the tested bounds with `view`'s free values, and the read flags."""
         frees = (view.free_cpu, view.free_mem, view.free_bw)
-        self.tests = tuple(
+        self.tests = [
             (kind, index, need, frees[kind][index], largest, smallest)
             for kind, by_need in enumerate((self.cpu, self.mem, self.bw))
             for need, (passed, blocked) in by_need.items()
             for index, (largest, smallest) in enumerate(zip(passed, blocked))
             if largest != _UNTESTED_PASS or smallest != _UNTESTED_BLOCK
-        )
+        ]
         self.flags = tuple((node, view.serves_next[node], view.idle_charged[node]) for node in self.flagged)
         self.cpu = self.mem = self.bw = self.flagged = None
 
     def holds(self, view: ContextView) -> bool:
-        """True when the kernel run on `view` is certain to give the sealed result."""
+        """True when kernel runs on `view` are certain to give the sealed results."""
         frees = (view.free_cpu, view.free_mem, view.free_bw)
         for kind, index, need, seen, passed, blocked in self.tests:
             free = frees[kind][index]
@@ -114,31 +131,6 @@ class Certificate:
                 return False
         serves_next, idle_charged = view.serves_next, view.idle_charged
         return all(serves_next[node] == serves and idle_charged[node] == charged for node, serves, charged in self.flags)
-
-
-def _pick_route(routes, free_bw, used_bw, bandwidth, delay_so_far, exec_time, max_delay, bw_passed, bw_blocked):
-    """First ranked route that fits the bandwidth headroom and delay budget.
-
-    Routes are ranked by delay, so once the budget is blown no later entry
-    can fit.  Routes come from the graph's route matrix and are loopless, so
-    each link is traversed once.  `bw_passed`/`bw_blocked`, when not None,
-    are a `Certificate`'s bounds for `bandwidth`.
-    """
-    for route in routes:
-        new_delay = delay_so_far + route.total_delay + exec_time
-        if new_delay > max_delay:
-            return None, 0.0
-        for link_index in route.links:
-            used = used_bw[link_index]
-            if free_bw[link_index] - used < bandwidth - 1e-9:
-                if bw_blocked is not None and used < bw_blocked[link_index]:
-                    bw_blocked[link_index] = used
-                break
-            if bw_passed is not None and used > bw_passed[link_index]:
-                bw_passed[link_index] = used
-        else:
-            return route, new_delay
-    return None, 0.0
 
 
 def _beam_search(
@@ -149,6 +141,7 @@ def _beam_search(
     config: PlacementConfig,
     beam_width: int | None,
     certificate: Certificate | None = None,
+    table: dict | None = None,
 ) -> Strategy | None:
     """Best placement found keeping `beam_width` partial placements per stage
     (None keeps all), with intermediate hosts drawn from the sorted `corridor`.
@@ -157,14 +150,21 @@ def _beam_search(
     usage lists are copied only for the expansions that survive truncation.
     Returns None when every partial placement dies (no feasible completion).
     A `certificate`, when given, records what the result depended on.
+    `table` maps host tuples to `_Beam` states; runs on one view that share
+    it (and one certificate) reuse each other's states and expansions.
+
+    Routes come from the graph's route matrix, ranked by delay, so once the
+    delay budget is blown no later entry can fit; they are loopless, so each
+    link is tested once against one traversal's bandwidth.
     """
     vnfs = request.vnfs
     edges = request.edges
-    n_nodes = len(graph.nodes)
+    n_nodes, n_links = len(graph.nodes), len(graph.links)
     weights = config.weights
     inv_bw_total = 1.0 / graph.total_bandwidth if graph.total_bandwidth else 0.0
     inv_pw_total = 1.0 / graph.total_p_max
     inv_delay = 1.0 / request.max_delay
+    max_delay = request.max_delay
     serves_self = request.duration_slots >= 2
     # idle ownership only matters for single-slot requests under once-only charging
     track_idle = view.idle_charge == "once" and not serves_self
@@ -173,37 +173,41 @@ def _beam_search(
     flagged = cpu_passed = cpu_blocked = mem_passed = mem_blocked = bw_passed = bw_blocked = None
     if certificate is not None:
         flagged = certificate.flagged
+    if table is None:
+        table = {}
 
     routes = graph.route_matrix(config.num_paths)
-    beam = [
-        _Beam(
-            (request.source,),
-            (),
-            0.0,
-            0.0,
-            0.0,
-            0,
-            [0.0] * n_nodes,
-            [0.0] * n_nodes,
-            [0.0] * len(graph.links),
-            [False] * n_nodes if track_idle else None,
+    root = (request.source,)
+    if root not in table:
+        table[root] = _Beam(
+            root, (), 0.0, 0.0, 0.0, 0, [0.0] * n_nodes, [0.0] * n_nodes, [0.0] * n_links,
+            [False] * n_nodes if track_idle else None, {},
         )
-    ]
+    beam = [table[root]]
     for stage in range(1, len(vnfs)):
         vnf = vnfs[stage]
+        pseudo = vnf.is_pseudo
         bandwidth = edges[stage - 1].bandwidth
+        exec_time = vnf.exec_time
         candidates = (request.destination,) if stage == len(vnfs) - 1 else corridor
         if certificate is not None:
-            bw_passed, bw_blocked = certificate.bounds(certificate.bw, bandwidth, len(graph.links))
-            if not vnf.is_pseudo:
+            bw_passed, bw_blocked = certificate.bounds(certificate.bw, bandwidth, n_links)
+            if not pseudo:
                 cpu_passed, cpu_blocked = certificate.bounds(certificate.cpu, vnf.cpu, n_nodes)
                 mem_passed, mem_blocked = certificate.bounds(certificate.mem, vnf.memory, n_nodes)
         # (-payoff, hops, hosts so far, node) is the beam order and unique, so sort() stops there
         grown = []
-        for parent, state in enumerate(beam):
+        for state in beam:
+            known = state.grown
             routes_from = routes[state.hosts[-1]]
             for node_id in candidates:
-                if not vnf.is_pseudo:
+                if node_id in known:
+                    expansion = known[node_id]
+                    if expansion is not None:
+                        grown.append(expansion)
+                    continue
+                known[node_id] = None
+                if not pseudo:
                     if modes[node_id] is Mode.OFF_UNAVAILABLE:
                         continue
                     used = state.used_cpu[node_id]
@@ -211,33 +215,35 @@ def _beam_search(
                         if cpu_blocked is not None and used < cpu_blocked[node_id]:
                             cpu_blocked[node_id] = used
                         continue
-                    if cpu_passed is not None and used > cpu_passed[node_id]:
-                        cpu_passed[node_id] = used
                     used = state.used_mem[node_id]
                     if free_mem[node_id] - used < vnf.memory - 1e-9:
                         if mem_blocked is not None and used < mem_blocked[node_id]:
                             mem_blocked[node_id] = used
                         continue
-                    if mem_passed is not None and used > mem_passed[node_id]:
-                        mem_passed[node_id] = used
-                route, new_delay = _pick_route(
-                    routes_from[node_id].paths,
-                    free_bw,
-                    state.used_bw,
-                    bandwidth,
-                    state.delay_ms,
-                    vnf.exec_time,
-                    request.max_delay,
-                    bw_passed,
-                    bw_blocked,
-                )
+                # the first ranked route that fits the link headroom and the delay budget
+                used_bw, route = state.used_bw, None
+                for candidate in routes_from[node_id].paths:
+                    new_delay = state.delay_ms + candidate.total_delay + exec_time
+                    if new_delay > max_delay:
+                        break
+                    for link_index in candidate.links:
+                        used = used_bw[link_index]
+                        if free_bw[link_index] - used < bandwidth - 1e-9:
+                            if bw_blocked is not None and used < bw_blocked[link_index]:
+                                bw_blocked[link_index] = used
+                            break
+                        if bw_passed is not None and used > bw_passed[link_index]:
+                            bw_passed[link_index] = used
+                    else:
+                        route = candidate
+                        break
                 if route is None:
                     continue
                 route_hops = len(route.links)
                 bw_units = state.bw_units + bandwidth * route_hops
                 power_w = state.power_w
                 pays_idle = False
-                if not vnf.is_pseudo:
+                if not pseudo:
                     # energy.vnf_power_attribution's rule, inline: a call here gives the same bytes but
                     # ran viterbi_place up to 1.13x slower (12 nodes, 2-vCPU Xeon).  The oracle test
                     # test_unlimited_beam_matches_exhaustive_search checks the two agree per server mode.
@@ -263,39 +269,51 @@ def _beam_search(
                     - weights.power * (power_w * inv_pw_total)
                     - weights.delay * (new_delay * inv_delay)
                 )
-                grown.append(
-                    (-payoff, state.hops + route_hops, state.hosts, node_id,
-                     parent, route, new_delay, bw_units, power_w, pays_idle)
+                # the parent is named by its hosts, not held, so the cache forms no reference cycle
+                hops = state.hops + route_hops
+                expansion = known[node_id] = (
+                    -payoff, hops, state.hosts, node_id, route, new_delay, bw_units, power_w, pays_idle
                 )
+                grown.append(expansion)
         if not grown:
             return None
         grown.sort()
         survivors = []
-        for _, hops, hosts, node_id, parent, route, new_delay, bw_units, power_w, pays_idle in grown[:beam_width]:
-            state = beam[parent]
-            used_cpu, used_mem, used_bw, idle_paid = state.used_cpu, state.used_mem, state.used_bw, state.idle_paid
-            if not vnf.is_pseudo:
-                used_cpu = list(used_cpu)
-                used_cpu[node_id] += vnf.cpu
-                used_mem = list(used_mem)
-                used_mem[node_id] += vnf.memory
-                if pays_idle:
-                    idle_paid = list(idle_paid)
-                    idle_paid[node_id] = True
-            if route.links:
-                used_bw = list(used_bw)
-                for link_index in route.links:
-                    used_bw[link_index] += bandwidth
-            survivors.append(
-                _Beam(
-                    hosts + (node_id,), state.routes + (route,), bw_units, power_w, new_delay, hops,
-                    used_cpu, used_mem, used_bw, idle_paid,
+        for _, hops, hosts, node_id, route, new_delay, bw_units, power_w, pays_idle in grown[:beam_width]:
+            key = hosts + (node_id,)
+            state = table.get(key)
+            if state is None:
+                parent = table[hosts]
+                used_cpu, used_mem, used_bw = parent.used_cpu, parent.used_mem, parent.used_bw
+                idle_paid = parent.idle_paid
+                if not pseudo:
+                    if cpu_passed is not None:
+                        if used_cpu[node_id] > cpu_passed[node_id]:
+                            cpu_passed[node_id] = used_cpu[node_id]
+                        if used_mem[node_id] > mem_passed[node_id]:
+                            mem_passed[node_id] = used_mem[node_id]
+                    used_cpu = list(used_cpu)
+                    used_cpu[node_id] += vnf.cpu
+                    used_mem = list(used_mem)
+                    used_mem[node_id] += vnf.memory
+                    if pays_idle:
+                        idle_paid = list(idle_paid)
+                        idle_paid[node_id] = True
+                if route.links:
+                    used_bw = list(used_bw)
+                    for link_index in route.links:
+                        used_bw[link_index] += bandwidth
+                state = table[key] = _Beam(
+                    key, parent.routes + (route,), bw_units, power_w, new_delay, hops,
+                    used_cpu, used_mem, used_bw, idle_paid, {},
                 )
-            )
+            survivors.append(state)
         beam = survivors
     best = beam[0]
-    cost = evaluate_strategy(request, best.hosts, best.routes, graph, view, weights)
-    return Strategy(request.id, best.hosts, best.routes, True, cost)
+    if best.strategy is None:
+        cost = evaluate_strategy(request, best.hosts, best.routes, graph, view, weights)
+        best.strategy = Strategy(request.id, best.hosts, best.routes, True, cost)
+    return best.strategy
 
 
 def viterbi_place(
@@ -305,15 +323,17 @@ def viterbi_place(
     graph: NetworkGraph,
     config: PlacementConfig,
     certificate: Certificate | None = None,
+    table: dict | None = None,
 ) -> Strategy | None:
     """Best placement of `request` with hosts restricted to `path`'s nodes.
 
     Returns None when every partial placement dies (no feasible completion).
-    A `certificate`, when given, records what the result depended on.
+    A `certificate`, when given, records what the result depended on.  Calls
+    on one view may share a `table` of beam states, with one certificate.
     """
     if path.nodes[0] != request.source or path.nodes[-1] != request.destination:
         raise ValueError("candidate path must join the request endpoints")
-    return _beam_search(request, sorted(set(path.nodes)), view, graph, config, config.beam_width, certificate)
+    return _beam_search(request, sorted(set(path.nodes)), view, graph, config, config.beam_width, certificate, table)
 
 
 def best_response(
@@ -326,44 +346,42 @@ def best_response(
     """Payoff-maximal strategy over all candidate paths, others held fixed.
 
     Candidate paths with identical node sets explore identical placements, so
-    duplicates are skipped.  Ties between paths break toward fewer total hops
-    and then the lexicographically smallest host sequence.  None means the
-    request stays unallocated.
+    duplicates are skipped; the corridor runs share one table of beam states,
+    so an expansion or state that two corridors reach is computed once.  Ties
+    between paths break toward fewer total hops and then the
+    lexicographically smallest host sequence.  None means the request stays
+    unallocated.
 
-    `memo` maps (request id, corridor) to a sealed `Certificate` and the
-    corridor's result; a corridor whose certificate holds for the current
-    view reuses its result instead of running the kernel again.  The caller
-    must drop the memo when server modes, the graph, a request or the config
-    change.
+    `memo` maps a request id to a sealed `Certificate` of all its corridor
+    runs and the best response they gave; while the certificate holds for the
+    current view, that result is returned without running the kernel.  The
+    caller must drop the memo when server modes, the graph, a request or the
+    config change.
     """
     view = ContextView.build(graph, profile, exclude=request.id)
-    best: Strategy | None = None
+    certificate = None
+    if memo is not None:
+        stored = memo.get(request.id)
+        if stored is not None and stored[0].holds(view):
+            return stored[1]
+        certificate = Certificate()
+    table: dict = {}
+    best = best_rank = None
     seen_corridors = set()
     for path in graph.candidate_sd_paths(request.source, request.destination, config.num_paths).paths:
         corridor = frozenset(path.nodes)
         if corridor in seen_corridors:
             continue
         seen_corridors.add(corridor)
-        if memo is None:
-            candidate = viterbi_place(request, path, view, graph, config)
-        else:
-            stored = memo.get((request.id, corridor))
-            if stored is not None and stored[0].holds(view):
-                candidate = stored[1]
-            else:
-                certificate = Certificate()
-                candidate = viterbi_place(request, path, view, graph, config, certificate)
-                certificate.seal(view)
-                memo[request.id, corridor] = (certificate, candidate)
-        if candidate is None:
+        candidate = viterbi_place(request, path, view, graph, config, certificate, table)
+        if candidate is None or candidate is best:  # corridors sharing a final state share its strategy
             continue
-        if best is None:
-            best = candidate
-            continue
-        c_hops = sum(r.hop_count for r in candidate.routes)
-        b_hops = sum(r.hop_count for r in best.routes)
-        if (candidate.payoff, -c_hops, best.hosts) > (best.payoff, -b_hops, candidate.hosts):
-            best = candidate
+        rank = (-candidate.payoff, sum(len(r.links) for r in candidate.routes), candidate.hosts)
+        if best is None or rank < best_rank:
+            best, best_rank = candidate, rank
+    if certificate is not None:
+        certificate.seal(view)
+        memo[request.id] = (certificate, best)
     return best
 
 

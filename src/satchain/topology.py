@@ -13,7 +13,8 @@ completion, so once ``d`` paths are found and the smallest key left exceeds
 the ``d``-th smallest delay, no unseen path can rank in the top ``d``.  The
 1e-9 margin on that test absorbs rounding and can only keep extra paths,
 which the exact final sort drops.  ``routes[a][b]`` holds the result for
-every pair, filled once per ``d`` on first use.
+every pair, filled once per ``d`` on first use; one search per unordered
+pair ranks both directions.
 """
 
 from __future__ import annotations
@@ -167,10 +168,10 @@ class NetworkGraph:
         self._to_target[t] = dist
         return dist
 
-    def _ranked_paths(self, s: int, t: int, d: int) -> PathSet | None:
-        """Top ``d`` loopless s-t paths by (fsum delay, hops, nodes); None if disconnected."""
-        if s == t:
-            return PathSet(s, t, (Path((s,), (), 0.0),))
+    def _ranked_paths(self, s: int, t: int, d: int) -> list | None:
+        """Every loopless s-t path within the ``d``-th smallest delay, and
+        possibly more, as unsorted (fsum delay, hops, nodes, links); None if
+        disconnected.  Needs ``s != t``."""
         to_t = self._delays_to(t)
         if to_t[s] == math.inf:
             return None
@@ -199,20 +200,35 @@ class NetworkGraph:
                     continue
                 step = delay + links[link_index].delay
                 heapq.heappush(frontier, (step + to_t[v], nodes + (v,), route + (link_index,), step, visited | 1 << v))
-        found.sort()
-        return PathSet(s, t, tuple(Path(nodes, route, total) for total, _, nodes, route in found[:d]))
+        return found
 
     def route_matrix(self, d: int) -> list:
         """``routes[a][b]``: the top-``d`` `PathSet` from a to b, None if disconnected.
 
-        The whole matrix is filled on the first call for ``d`` and shared after.
+        The whole matrix is filled on the first call for ``d`` and shared
+        after.  Each unordered pair is searched once: links are undirected
+        and `math.fsum` is exact, so the a-b candidates reversed are every
+        b-a path within the same ``d``-th delay, and one exact sort per
+        direction ranks each.
         """
         routes = self._routes.get(d)
         if routes is None:
             if d < 1:
                 raise ValueError("d must be >= 1")
-            ids = range(len(self.nodes))
-            routes = self._routes[d] = [[self._ranked_paths(a, b, d) for b in ids] for a in ids]
+            n = len(self.nodes)
+            routes = [[None] * n for _ in range(n)]
+            for a in range(n):
+                routes[a][a] = PathSet(a, a, (Path((a,), (), 0.0),))
+                for b in range(a + 1, n):
+                    found = self._ranked_paths(a, b, d)
+                    if found is None:
+                        continue
+                    backward = [(total, hops, nodes[::-1], links[::-1]) for total, hops, nodes, links in found]
+                    for s, t, ranked in ((a, b, found), (b, a, backward)):
+                        ranked.sort()
+                        paths = tuple(Path(nodes, links, total) for total, _, nodes, links in ranked[:d])
+                        routes[s][t] = PathSet(s, t, paths)
+            self._routes[d] = routes
         return routes
 
     def k_shortest_paths(self, s: int, t: int, d: int) -> PathSet:

@@ -1,12 +1,12 @@
 """Certified best-response reuse inside `pgra_run` changes no result.
 
-`pgra_run` keeps, per (request, corridor), the kernel's last result with a
-`placement.Certificate` of what it read, and reuses the result while the
-certificate holds.  Each test here runs 4-slot on-line sequences, which
-supply committed placements and servers in every mode, and compares every
-`IterationRecord` and every final `Strategy` of every slot's `pgra_run` with
-the same run where every certificate check fails, so every corridor is
-searched again.  Two weakened certificates, one blind to the power rule's
+`pgra_run` keeps, per request, its last best response with one
+`placement.Certificate` of what all of its corridor runs read, and reuses
+the result while the certificate holds.  Each test here runs 4-slot on-line
+sequences, which supply committed placements and servers in every mode, and
+compares every `IterationRecord` and every final `Strategy` of every slot's
+`pgra_run` with the same run where every certificate check fails, so every
+corridor is searched again.  Two weakened certificates, one blind to the power rule's
 flags and one blind to link headroom, must each be caught by the same
 comparison.
 """

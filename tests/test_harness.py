@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import warnings
@@ -8,6 +9,7 @@ import pytest
 from satchain.cli import main
 from satchain.energy import Mode
 from satchain.harness import (
+    ALGORITHMS,
     OnlineSimulation,
     SimulationConfig,
     SlotMetrics,
@@ -185,6 +187,20 @@ def test_negative_seed_fails_before_any_draw(run, monkeypatch):
         run(SimulationConfig(requests=1, slots=1))
 
 
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_runs_leave_no_cyclic_garbage(algorithm):
+    # a reference cycle outlives its run until the collector finds it, which raises peak memory
+    config = SimulationConfig(slots=3).with_nodes(12)
+    gc.collect()
+    gc.disable()
+    try:
+        run_batch(config, algorithm, seed=1)
+        run_online(config, algorithm, seed=1)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 class TestEmission:
     def _metrics(self):
         return [
@@ -355,10 +371,17 @@ class TestCli:
                 ["online", "--config", "."], "--config: cannot read '.': Is a directory", id="online-directory-config"
             ),
             pytest.param(["online", "--slots", "0"], "slots must be >= 1", id="online-zero-slots"),
+            # the sweep sets these itself, so taguchi does not take them
+            *(
+                pytest.param(["taguchi", flag, value], f"unrecognized arguments: {flag} {value}", id=f"taguchi{flag}")
+                for flag, value in (("--algorithm", "greedy"), ("--requests", "5"), ("--d", "4"), ("--beam", "2"))
+            ),
         ],
     )
     def test_bad_flag_value_is_a_usage_error(self, argv, message, capsys, monkeypatch):
         monkeypatch.setattr("satchain.checks.run_all", lambda seed: pytest.fail("a suite ran"))
+        for name in ("run_batch", "run_online", "run_taguchi"):
+            monkeypatch.setattr(f"satchain.cli.{name}", lambda *args, **kwargs: pytest.fail("a run started"))
         with pytest.raises(SystemExit) as exited:
             main(argv)
         assert exited.value.code == 2

@@ -9,6 +9,7 @@ from satchain import placement
 from satchain.costing import ContextView, Strategy, StrategyProfile, Weights, check_feasibility
 from satchain.energy import Mode, ServerState
 from satchain.game import GameConfig, pgra_run
+from satchain.harness import SimulationConfig
 from satchain.placement import PlacementConfig, best_response, greedy_place, viterbi_place
 from satchain.topology import Link, NetworkGraph, SatelliteNode
 from satchain.workload import generate_requests
@@ -68,6 +69,33 @@ def drawn_game(data):
     ]
     placement_config = PlacementConfig(num_paths=data.draw(st.integers(1, 4)), beam_width=data.draw(st.integers(1, 4)))
     return requests, graph, context, GameConfig(placement=placement_config)
+
+
+def independent_best_response(request, profile, graph, config):
+    """`best_response` rebuilt from one `viterbi_place` call per distinct
+    corridor, each with its own table and no certificate."""
+    view = ContextView.build(graph, profile, exclude=request.id)
+    corridors = {}
+    for path in graph.candidate_sd_paths(request.source, request.destination, config.num_paths).paths:
+        corridors.setdefault(frozenset(path.nodes), path)
+    placed = [viterbi_place(request, path, view, graph, config) for path in corridors.values()]
+    ranked = [(-s.payoff, sum(r.hop_count for r in s.routes), s.hosts, s) for s in placed if s is not None]
+    return min(ranked, key=lambda entry: entry[:3])[3] if ranked else None
+
+
+def assert_best_responses_match_independent_runs(requests, graph, context, config):
+    """Commit each request's best response in turn, twice round, so later
+    views carry load and the second round meets certificates sealed on
+    earlier views; each must equal `independent_best_response`, with and
+    without a memo."""
+    profile = StrategyProfile.empty(requests, context)
+    memo = {}
+    for request in requests * 2:
+        expected = independent_best_response(request, profile, graph, config)
+        assert best_response(request, profile, graph, config) == expected
+        assert best_response(request, profile, graph, config, memo) == expected
+        if expected is not None:
+            profile.strategies[request.id] = expected
 
 
 def empty_profile(graph, context, *requests):
@@ -286,6 +314,20 @@ class TestBestResponse:
                 continue
             profile.strategies[request.id] = strategy
             assert check_feasibility(profile, graph6) == []
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(st.data())
+    def test_shared_table_matches_independent_corridor_runs_on_drawn_games(self, data):
+        requests, graph, context, config = drawn_game(data)
+        assert_best_responses_match_independent_runs(requests, graph, context, config.placement)
+
+    @pytest.mark.parametrize("nodes, seed", [(9, 1), (12, 2), (15, 3)])
+    def test_shared_table_matches_independent_corridor_runs_on_constellations(self, nodes, seed):
+        # chains of 5-10 VNFs on a torus, where many corridors reach the same partial placements
+        config = SimulationConfig().with_nodes(nodes)
+        graph = config.build_graph()
+        requests = generate_requests(16, graph, config.ranges, seed, d=config.num_paths)
+        assert_best_responses_match_independent_runs(requests, graph, idle_context(graph), config.placement_config())
 
     def test_deterministic(self, graph6):
         context = idle_context(graph6)

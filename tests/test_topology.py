@@ -140,6 +140,29 @@ class TestKShortestPaths:
         if s == t:
             assert [(p.nodes, p.links, p.total_delay) for p in got] == [((s,), (), 0.0)]
 
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(st.data())
+    def test_both_directions_of_every_pair_match_exhaustive_enumeration(self, data):
+        # the route matrix ranks b -> a from the reversed a -> b search, so check every ordered pair
+        n = data.draw(st.integers(2, 8))
+        density = data.draw(st.sampled_from((0.2, 0.4, 0.6, 0.8, 1.0)))
+        edges = [
+            (u, v, data.draw(st.sampled_from(self.TIE_HEAVY_DELAYS)))
+            for u, v in itertools.combinations(range(n), 2)
+            if data.draw(st.floats(0.0, 1.0)) < density
+        ]
+        graph = make_graph(n, edges)
+        for s, t in itertools.product(range(n), repeat=2):
+            expected = all_simple_paths(graph, s, t)
+            for d in range(1, 11):
+                if not expected:
+                    with pytest.raises(NoPath):
+                        graph.k_shortest_paths(s, t, d)
+                    continue
+                got = graph.k_shortest_paths(s, t, d).paths
+                assert [(p.total_delay, p.hop_count, p.nodes) for p in got] == expected[:d]
+                assert [graph.make_path(p.nodes) for p in got] == list(got)
+
     @pytest.mark.parametrize("nodes", (6, 9, 12, 15))
     def test_routes_are_loopless_on_every_constellation(self, nodes):
         # the beam kernel checks each route link once against one traversal's bandwidth
