@@ -25,15 +25,17 @@ print(f"\n15-node constellation: degrees {sorted(set(degrees.values()))}, {len(b
 # Candidate paths are the d shortest loopless routes, ranked by delay with
 # deterministic tie-breaking, so repeated runs see identical sets.
 print("\n4 candidate paths from node 0 to node 5:")
-for path in graph.k_shortest_paths(0, 5, 4).paths:
+for path in graph.k_shortest_paths(0, 5, 4):
     print(f"  {path.nodes}  {path.total_delay:.4f} ms  {path.hop_count} hops")
 
 # When a request starts and ends on the same satellite the candidates are the
 # zero-hop stay-at-home path plus out-and-back walks to the nearest nodes.
 print("\ncandidates when source = destination = node 0:")
-for path in graph.candidate_sd_paths(0, 0, 3).paths:
+for path in graph.candidate_sd_paths(0, 0, 3):
     print(f"  {path.nodes}  {path.total_delay:.4f} ms")
 
-# Graphs serialize to JSON so an experiment can pin its exact topology.
-doc = graph.to_json()
-print(f"\nserialized topology: {len(doc)} bytes of JSON")
+# Placement reads the route matrix: routes[a][b] holds the ranked paths
+# from a to b, filled once per path count d and shared after that.
+row = [path for paths in graph.route_matrix(4)[0] for path in paths]
+print(f"\nroute matrix row of node 0 (d = 4): {len(row)} paths, "
+      f"{sum(p.hop_count for p in row)} links, total delay {sum(p.total_delay for p in row):.4f} ms")

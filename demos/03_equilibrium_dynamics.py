@@ -35,7 +35,7 @@ rid = allocated[0]
 request = profile.requests[rid]
 view = ContextView.build(graph, profile, exclude=rid)
 worst = 0.0
-for path in graph.candidate_sd_paths(request.source, request.destination, config.num_paths).paths:
+for path in graph.candidate_sd_paths(request.source, request.destination, config.num_paths):
     alternative = viterbi_place(request, path, view, graph, config.placement_config())
     if alternative is not None:
         worst = max(worst, potential_identity_check(profile, rid, alternative))

@@ -30,7 +30,6 @@ from .energy import (
     PowerParams,
     ServerFleet,
     ServerState,
-    server_active_power,
     step_server_state,
     vnf_power_attribution,
 )
@@ -50,7 +49,6 @@ from .topology import (
     NetworkGraph,
     NoPath,
     Path,
-    PathSet,
     SatelliteNode,
     build_constellation,
     link_delay,
@@ -60,8 +58,8 @@ from .workload import (
     UserRequest,
     VnfSpec,
     WorkloadRanges,
+    acceptable_delay,
     generate_requests,
-    max_acceptable_delay,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

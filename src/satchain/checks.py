@@ -39,7 +39,7 @@ def check_potential_identity(seed: int = 0, instances: int = 4, triples: int = 5
         for _ in range(triples):
             rid = ids[int(rng.integers(len(ids)))]
             request = profile.requests[rid]
-            paths = graph.candidate_sd_paths(request.source, request.destination, config.num_paths).paths
+            paths = graph.candidate_sd_paths(request.source, request.destination, config.num_paths)
             path = paths[int(rng.integers(len(paths)))]
             view = ContextView.build(graph, profile, exclude=rid)
             alt = viterbi_place(request, path, view, graph, config.placement_config())
@@ -85,7 +85,7 @@ def check_beam_monotonicity(seed: int = 0, instances: int = 20) -> tuple:
             if strategy is not None:
                 profile.strategies[request.id] = strategy
         target = requests[3]
-        path = graph.candidate_sd_paths(target.source, target.destination, config.num_paths).paths[0]
+        path = graph.candidate_sd_paths(target.source, target.destination, config.num_paths)[0]
         view = ContextView.build(graph, profile, exclude=target.id)
         payoffs = []
         for beam in (1, 4, 8):

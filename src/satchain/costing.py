@@ -64,13 +64,6 @@ class Strategy:
     def payoff(self) -> float:
         return self.cost.payoff if self.allocated and self.cost is not None else 0.0
 
-    def same_placement(self, other: "Strategy") -> bool:
-        if self.allocated != other.allocated:
-            return False
-        return self.hosts == other.hosts and tuple(r.nodes for r in self.routes) == tuple(
-            r.nodes for r in other.routes
-        )
-
 
 @dataclass(frozen=True)
 class CommittedPlacement:

@@ -10,7 +10,6 @@ placement slot and on whether the server keeps serving in the following slot.
 
 from __future__ import annotations
 
-import csv
 import enum
 from dataclasses import dataclass
 
@@ -116,39 +115,16 @@ def vnf_power_attribution(
     return share
 
 
-def server_active_power(allocated_cpu: float, capacity_cpu: float, params: PowerParams) -> float:
-    """Draw (W) of a powered server at the given CPU allocation."""
-    if not 0 <= allocated_cpu <= capacity_cpu:
-        raise ValueError("allocation outside [0, capacity]")
-    return params.p_idle + (allocated_cpu / capacity_cpu) * (params.p_max - params.p_idle)
-
-
-def slot_power(
-    mode: Mode,
-    allocated_cpu: float,
-    capacity_cpu: float,
-    params: PowerParams,
-    *,
-    setup: bool = False,
-) -> float:
-    """Physical draw of one server for one slot (audit view, not a VNF charge)."""
-    if setup:
-        return params.p_max
-    if mode is Mode.ON:
-        return server_active_power(allocated_cpu, capacity_cpu, params)
-    if mode is Mode.IDLE:
-        return params.p_idle
-    return 0.0
-
-
 class ServerFleet:
     """Per-slot state keeper for all servers of one simulation.
 
     The simulation clock is the single writer: `advance` steps every state
     machine at the start of a slot, `mark_service` switches freshly loaded
     servers on after placement, and `record` appends one audit row per server
-    (slot, node, mode, power).  A restart slot is recorded as mode ``setup``
-    at maximum power.
+    (slot, node, mode, power).  The power is the server's physical draw, not
+    a VNF charge: an ``on`` server draws its idle baseline plus its CPU share
+    of the dynamic range, an idle one its baseline and an off one nothing.  A
+    restart slot is recorded as mode ``setup`` at maximum power.
     """
 
     def __init__(self, params_by_node: dict[int, PowerParams]):
@@ -172,16 +148,17 @@ class ServerFleet:
 
     def record(self, slot: int, allocated_cpu: dict[int, float], capacity_cpu: dict[int, float]) -> None:
         for n in sorted(self.states):
-            state = self.states[n]
+            mode, params = self.states[n].mode, self.params[n]
             setup = n in self._setup_nodes
-            power = slot_power(
-                state.mode, allocated_cpu.get(n, 0.0), capacity_cpu[n], self.params[n], setup=setup
-            )
-            label = "setup" if setup else state.mode.value
-            self.timeline.append((slot, n, label, power))
-
-    def export_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["slot", "node", "mode", "power"])
-            writer.writerows(self.timeline)
+            if setup:
+                power = params.p_max
+            elif mode is Mode.ON:
+                cpu = allocated_cpu.get(n, 0.0)
+                if not 0 <= cpu <= capacity_cpu[n]:
+                    raise ValueError(f"node {n}: allocation {cpu} outside [0, {capacity_cpu[n]}]")
+                power = params.p_idle + (cpu / capacity_cpu[n]) * (params.p_max - params.p_idle)
+            elif mode is Mode.IDLE:
+                power = params.p_idle
+            else:
+                power = 0.0
+            self.timeline.append((slot, n, "setup" if setup else mode.value, power))

@@ -73,11 +73,13 @@ def _improving_move(request, profile: StrategyProfile, graph: NetworkGraph, conf
 
     A best response that merely re-prices the current placement under a
     shifted context is not a move; only a structurally different proposal
-    with a payoff gain above `EPSILON` counts.  `memo` goes to `best_response`.
+    with a payoff gain above `EPSILON` counts.  Paths are frozen and a node
+    sequence fixes a route's links and its `math.fsum` delay, so equal
+    (hosts, routes) is the same placement.  `memo` goes to `best_response`.
     """
     current = profile.strategies[request.id]
     proposal = best_response(request, profile, graph, config.placement, memo)
-    if proposal is None or proposal.same_placement(current):
+    if proposal is None or (proposal.hosts, proposal.routes) == (current.hosts, current.routes):
         return None
     gain = proposal.payoff - current.payoff
     return (proposal, gain) if gain > EPSILON else None

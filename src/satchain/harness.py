@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import warnings
-from dataclasses import asdict, astuple, dataclass, fields, replace
+from dataclasses import asdict, astuple, dataclass, fields, is_dataclass, replace
 from statistics import fmean
 
 import numpy as np
@@ -110,20 +110,32 @@ class SimulationConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "SimulationConfig":
-        """Parse `to_json` output; absent keys keep their defaults, unknown keys raise."""
-        doc = json.loads(text)
-        for name, kind in (("ranges", WorkloadRanges), ("weights", Weights)):
-            if name in doc:
-                doc[name] = _from_section(kind, doc[name], f"section {name!r}")
-        return _from_section(cls, doc, "the top level")
+        """Parse `to_json` output; absent keys keep their defaults.  An unknown
+        key or a value of the wrong JSON type raises ValueError naming the key."""
+        return _from_section(cls, json.loads(text), "the top level")
 
 
-def _from_section(kind, doc: dict, section: str):
-    """Build dataclass `kind` from one JSON object; lists become tuples."""
-    unknown = sorted(set(doc) - {f.name for f in fields(kind)})
+# JSON types per field annotation; a bool, which is an int to isinstance, passes only a "bool" field
+_JSON_TYPES = {"int": int, "float": (int, float), "int | None": (int, type(None)), "str": str, "bool": bool, "tuple": list}
+
+
+def _from_section(kind, doc, section: str):
+    """Build dataclass `kind` from one JSON object; lists become tuples and objects sections."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{section} must be a JSON object, not {json.dumps(doc)}")
+    by_name = {f.name: f for f in fields(kind)}
+    unknown = sorted(set(doc) - set(by_name))
     if unknown:
         raise ValueError(f"unknown config key {unknown[0]!r} in {section}")
-    return kind(**{k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()})
+    values = {}
+    for key, value in doc.items():
+        field = by_name[key]
+        if is_dataclass(field.default):
+            value = _from_section(type(field.default), value, f"section {key!r}")
+        elif not isinstance(value, _JSON_TYPES[field.type]) or (isinstance(value, bool) and field.type != "bool"):
+            raise ValueError(f"config key {key!r} in {section} must be {field.type}, not {json.dumps(value)}")
+        values[key] = tuple(value) if isinstance(value, list) else value
+    return kind(**values)
 
 
 @dataclass(frozen=True)

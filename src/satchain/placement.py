@@ -222,7 +222,7 @@ def _beam_search(
                         continue
                 # the first ranked route that fits the link headroom and the delay budget
                 used_bw, route = state.used_bw, None
-                for candidate in routes_from[node_id].paths:
+                for candidate in routes_from[node_id]:
                     new_delay = state.delay_ms + candidate.total_delay + exec_time
                     if new_delay > max_delay:
                         break
@@ -368,7 +368,7 @@ def best_response(
     table: dict = {}
     best = best_rank = None
     seen_corridors = set()
-    for path in graph.candidate_sd_paths(request.source, request.destination, config.num_paths).paths:
+    for path in graph.candidate_sd_paths(request.source, request.destination, config.num_paths):
         corridor = frozenset(path.nodes)
         if corridor in seen_corridors:
             continue
@@ -402,6 +402,6 @@ def greedy_place(
     """
     view = ContextView.build(graph, profile, exclude=request.id)
     corridor: set = set()
-    for path in graph.candidate_sd_paths(request.source, request.destination, config.num_paths).paths:
+    for path in graph.candidate_sd_paths(request.source, request.destination, config.num_paths):
         corridor.update(path.nodes)
     return _beam_search(request, sorted(corridor), view, graph, config, 1)

@@ -20,9 +20,8 @@ pair ranks both directions.
 from __future__ import annotations
 
 import heapq
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .energy import PowerParams
 
@@ -87,19 +86,12 @@ class Path:
         return len(self.links)
 
 
-@dataclass(frozen=True)
-class PathSet:
-    source: int
-    destination: int
-    paths: tuple
-
-
 class NetworkGraph:
     """Immutable-after-build constellation graph that owns its ranked routes.
 
     Node ids must be the contiguous range 0..N-1.  On the first use of a path
     count ``d``, `route_matrix` fills ``routes[a][b]`` for every pair with the
-    top-``d`` `PathSet` (None for a disconnected pair); shortest delays to
+    tuple of top-``d`` `Path`s (None for a disconnected pair); shortest delays to
     each target and same-node walk sets are cached too.  The graph is
     otherwise read-only, so sharing across workers is safe as long as cache
     population stays single-writer.
@@ -111,15 +103,15 @@ class NetworkGraph:
             raise ValueError("node ids must be 0..N-1")
         self.nodes = sorted(nodes, key=lambda n: n.id)
         self.links = list(links)
-        self._link_by_pair: dict = {}
+        pairs: set = set()
         self._adj: dict = {n.id: [] for n in self.nodes}
         for link in self.links:
             key = (min(link.u, link.v), max(link.u, link.v))
-            if key in self._link_by_pair:
+            if key in pairs:
                 raise ValueError(f"duplicate link {key}")
             if link.u not in self._adj or link.v not in self._adj:
                 raise ValueError("link endpoint is not a node")
-            self._link_by_pair[key] = link
+            pairs.add(key)
             self._adj[link.u].append((link.v, link.index))
             self._adj[link.v].append((link.u, link.index))
         self.total_bandwidth = sum(l.bandwidth for l in self.links)
@@ -133,20 +125,6 @@ class NetworkGraph:
         self._walks: dict = {}  # (s, d) -> same-node candidate walks
 
     # -- path machinery ----------------------------------------------------
-
-    def link_between(self, u: int, v: int):
-        return self._link_by_pair.get((min(u, v), max(u, v)))
-
-    def make_path(self, node_seq) -> Path:
-        nodes = tuple(node_seq)
-        links = []
-        for a, b in zip(nodes, nodes[1:]):
-            link = self.link_between(a, b)
-            if link is None:
-                raise ValueError(f"no link between {a} and {b}")
-            links.append(link.index)
-        delay = math.fsum(self.links[i].delay for i in links)
-        return Path(nodes, tuple(links), delay)
 
     def _delays_to(self, t: int) -> list:
         """Shortest delay from every node to ``t`` (inf where unreachable)."""
@@ -203,7 +181,7 @@ class NetworkGraph:
         return found
 
     def route_matrix(self, d: int) -> list:
-        """``routes[a][b]``: the top-``d`` `PathSet` from a to b, None if disconnected.
+        """``routes[a][b]``: the top-``d`` `Path`s from a to b, None if disconnected.
 
         The whole matrix is filled on the first call for ``d`` and shared
         after.  Each unordered pair is searched once: links are undirected
@@ -218,7 +196,7 @@ class NetworkGraph:
             n = len(self.nodes)
             routes = [[None] * n for _ in range(n)]
             for a in range(n):
-                routes[a][a] = PathSet(a, a, (Path((a,), (), 0.0),))
+                routes[a][a] = (Path((a,), (), 0.0),)
                 for b in range(a + 1, n):
                     found = self._ranked_paths(a, b, d)
                     if found is None:
@@ -226,12 +204,11 @@ class NetworkGraph:
                     backward = [(total, hops, nodes[::-1], links[::-1]) for total, hops, nodes, links in found]
                     for s, t, ranked in ((a, b, found), (b, a, backward)):
                         ranked.sort()
-                        paths = tuple(Path(nodes, links, total) for total, _, nodes, links in ranked[:d])
-                        routes[s][t] = PathSet(s, t, paths)
+                        routes[s][t] = tuple(Path(nodes, links, total) for total, _, nodes, links in ranked[:d])
             self._routes[d] = routes
         return routes
 
-    def k_shortest_paths(self, s: int, t: int, d: int) -> PathSet:
+    def k_shortest_paths(self, s: int, t: int, d: int) -> tuple:
         """Up to ``d`` loopless shortest paths from s to t.
 
         Ranked by (total delay, hop count, node sequence); when ``s == t``
@@ -245,7 +222,7 @@ class NetworkGraph:
             raise NoPath(f"no route from {s} to {t}")
         return result
 
-    def candidate_sd_paths(self, s: int, dest: int, d: int) -> PathSet:
+    def candidate_sd_paths(self, s: int, dest: int, d: int) -> tuple:
         """Candidate source-to-destination paths for one request.
 
         For distinct endpoints this is `k_shortest_paths`.  When source and
@@ -263,7 +240,7 @@ class NetworkGraph:
             raise ValueError("unknown node id")
         # the first of the top d paths is the shortest one
         legs = sorted(
-            (entry.paths[0].total_delay, v, entry.paths[0])
+            (entry[0].total_delay, v, entry[0])
             for v, entry in enumerate(self.route_matrix(d)[s])
             if v != s and entry is not None
         )
@@ -273,22 +250,9 @@ class NetworkGraph:
             links = leg.links + leg.links[::-1]
             delay = math.fsum(self.links[i].delay for i in links)
             paths.append(Path(nodes, links, delay))
-        result = PathSet(s, s, tuple(paths))
+        result = tuple(paths)
         self._walks[key] = result
         return result
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json(self) -> str:
-        doc = {"nodes": [asdict(n) for n in self.nodes], "links": [asdict(l) for l in self.links]}
-        return json.dumps(doc, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "NetworkGraph":
-        doc = json.loads(text)
-        nodes = [SatelliteNode(**{**n, "power": PowerParams(**n["power"])}) for n in doc["nodes"]]
-        links = [Link(**l) for l in doc["links"]]
-        return cls(nodes, links)
 
 
 def build_constellation(

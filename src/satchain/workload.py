@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,16 +94,10 @@ class WorkloadRanges:
                 raise ValueError("ranges must satisfy 1 <= lo <= hi")
 
 
-
-def _acceptable_delay(source: int, destination: int, exec_total: float, graph: NetworkGraph, d: int) -> float:
-    cset = graph.candidate_sd_paths(source, destination, d)
-    mean_transit = math.fsum(p.total_delay for p in cset.paths) / len(cset.paths)
-    return exec_total + mean_transit
-
-
-def max_acceptable_delay(request: UserRequest, graph: NetworkGraph, d: int) -> float:
+def acceptable_delay(source: int, destination: int, exec_total: float, graph: NetworkGraph, d: int) -> float:
     """Delay budget: total execution time plus the mean candidate-path delay."""
-    return _acceptable_delay(request.source, request.destination, request.total_exec_time, graph, d)
+    paths = graph.candidate_sd_paths(source, destination, d)
+    return exec_total + math.fsum(p.total_delay for p in paths) / len(paths)
 
 
 def generate_requests(
@@ -153,27 +146,9 @@ def generate_requests(
                 destination=destination,
                 vnfs=tuple(vnfs),
                 edges=edges,
-                max_delay=_acceptable_delay(source, destination, exec_total, graph, d),
+                max_delay=acceptable_delay(source, destination, exec_total, graph, d),
                 arrival_slot=slot,
                 duration_slots=duration,
             )
         )
     return requests
-
-
-def workload_to_json(requests: list) -> str:
-    """Serialize a workload so a run can be replayed byte-for-byte."""
-    return json.dumps([asdict(r) for r in requests], indent=2)
-
-
-def workload_from_json(text: str) -> list:
-    return [
-        UserRequest(
-            **{
-                **doc,
-                "vnfs": tuple(VnfSpec(**v) for v in doc["vnfs"]),
-                "edges": tuple(SfcEdge(**e) for e in doc["edges"]),
-            }
-        )
-        for doc in json.loads(text)
-    ]

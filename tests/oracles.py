@@ -8,6 +8,19 @@ import math
 
 from satchain.costing import evaluate_strategy
 from satchain.energy import Mode
+from satchain.topology import Path
+
+
+def make_path(graph, node_seq):
+    """The walk through ``node_seq``, its links looked up in the adjacency lists."""
+    nodes = tuple(node_seq)
+    links = []
+    for a, b in zip(nodes, nodes[1:]):
+        link = next((index for neighbor, index in graph._adj[a] if neighbor == b), None)
+        if link is None:
+            raise ValueError(f"no link between {a} and {b}")
+        links.append(link)
+    return Path(nodes, tuple(links), math.fsum(graph.links[i].delay for i in links))
 
 
 def all_simple_paths(graph, s, t):
@@ -66,7 +79,7 @@ def enumerate_best_placement(request, path, view, graph, d, weights):
                 if view.free_mem[node_id] - used_mem.get(node_id, 0.0) < vnf.memory - 1e-9:
                     continue
             route = None
-            for candidate_route in graph.k_shortest_paths(hosts[-1], node_id, d).paths:
+            for candidate_route in graph.k_shortest_paths(hosts[-1], node_id, d):
                 if delay + candidate_route.total_delay + vnf.exec_time > request.max_delay:
                     break
                 need = {}
@@ -109,7 +122,7 @@ def enumerate_request_strategies(request, profile, graph, d, weights):
     view = ContextView.build(graph, profile, exclude=request.id)
     strategies = []
     seen = set()
-    for path in graph.candidate_sd_paths(request.source, request.destination, d).paths:
+    for path in graph.candidate_sd_paths(request.source, request.destination, d):
         corridor = frozenset(path.nodes)
         if corridor in seen:
             continue
@@ -133,7 +146,7 @@ def enumerate_request_strategies(request, profile, graph, d, weights):
                     if view.free_mem[node_id] - used_mem.get(node_id, 0.0) < vnf.memory - 1e-9:
                         continue
                 route = None
-                for candidate_route in graph.k_shortest_paths(hosts[-1], node_id, d).paths:
+                for candidate_route in graph.k_shortest_paths(hosts[-1], node_id, d):
                     if delay + candidate_route.total_delay + vnf.exec_time > request.max_delay:
                         break
                     need = {}

@@ -24,7 +24,7 @@ from satchain.harness import SimulationConfig, run_batch, run_taguchi
 from satchain.placement import PlacementConfig, viterbi_place
 
 from conftest import idle_context, make_request, random_micro_instance, ring_graph
-from oracles import enumerate_best_placement
+from oracles import enumerate_best_placement, make_path
 
 BASE = SimulationConfig()
 GRAPH6 = BASE.build_graph()
@@ -55,7 +55,7 @@ def test_3_beam_search_matches_exhaustive_optimum():
     worst = 0.0
     while compared < 50:
         graph, _, request, view = random_micro_instance(rng)
-        for path in graph.candidate_sd_paths(request.source, request.destination, 2).paths:
+        for path in graph.candidate_sd_paths(request.source, request.destination, 2):
             expected = enumerate_best_placement(request, path, view, graph, 2, Weights())
             got = viterbi_place(request, path, view, graph, config)
             if expected is None:
@@ -150,13 +150,13 @@ def test_10_spot_arithmetic():
     request = make_request(0, 0, 0, [(4.0, 4.0, 10.0)], duration=2)
     profile = StrategyProfile.empty([request], context)
     view = ContextView.build(GRAPH6, profile, exclude=0)
-    path = GRAPH6.candidate_sd_paths(0, 0, 1).paths[0]
+    path = GRAPH6.candidate_sd_paths(0, 0, 1)[0]
     strategy = viterbi_place(request, path, view, GRAPH6, BASE.placement_config())
     expected_energy = ((4.0 / 112.0) * (415.0 - 49.9)) / (6 * 415.0)
     energy_ok = abs(strategy.cost.power - expected_energy) <= 1e-9
 
     ring12 = ring_graph(12, delay=1.0)
-    probe = Strategy(0, (0, 2), (ring12.make_path([0, 1, 2]),), True, None)
+    probe = Strategy(0, (0, 2), (make_path(ring12, [0, 1, 2]),), True, None)
     bw = bandwidth_cost(probe, make_request(1, 0, 2, [], edge_bw=10.0), ring12)
     bw_ok = abs(bw - 1.0 / 60.0) <= 1e-12
     report(

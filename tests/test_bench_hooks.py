@@ -1,0 +1,37 @@
+"""Every library entry point that the benchmark hooks by name still exists.
+
+`bench/spans.py` wraps satchain's layer entry points by dotted name, and
+`bench/workloads.py` names the placement entry that each algorithm's decision
+timer wraps.  A refactor that renames or moves one of them breaks the traced
+benchmark run; this test makes it fail the test suite as well.
+"""
+
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def bench_module(name):
+    """Run ``bench/<name>.py`` from its source, so no bytecode is written under bench/."""
+    path = BENCH / f"{name}.py"
+    module = types.ModuleType(f"_bench_{name}")
+    module.__file__ = str(path)
+    sys.modules[module.__name__] = module  # dataclasses look up their defining module
+    exec(compile(path.read_text(), str(path), "exec"), vars(module))
+    return module
+
+
+spans = bench_module("spans")
+TARGETS = sorted(
+    {*spans.HOOKS, spans.GAME_TARGET, spans.KSP_TARGET, *bench_module("workloads").DECISION_ENTRY.values()}
+)
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_hook_target_resolves(target):
+    owner, attribute, _ = spans.resolve(target)
+    assert callable(getattr(owner, attribute))

@@ -22,6 +22,7 @@ from satchain.topology import Path, link_delay
 from satchain.workload import PSEUDO_VNF
 
 from conftest import idle_context, make_graph, make_request, ring_graph
+from oracles import make_path
 
 
 def zero_hop(node):
@@ -36,7 +37,7 @@ def profile_of(graph, context, *pairs):
 
 def build_strategy(request, graph, context, hosts, route_nodes, weights=Weights()):
     routes = tuple(
-        zero_hop(seq[0]) if len(seq) == 1 else graph.make_path(seq) for seq in route_nodes
+        zero_hop(seq[0]) if len(seq) == 1 else make_path(graph, seq) for seq in route_nodes
     )
     profile = profile_of(graph, context)
     view = ContextView.build(graph, profile)
@@ -52,7 +53,7 @@ def ring12():
 class TestBandwidthCost:
     def test_one_edge_two_hops(self, ring12):
         request = make_request(0, 0, 2, [], edge_bw=10.0)
-        strategy = Strategy(0, (0, 2), (ring12.make_path([0, 1, 2]),), True, None)
+        strategy = Strategy(0, (0, 2), (make_path(ring12, [0, 1, 2]),), True, None)
         assert bandwidth_cost(strategy, request, ring12) == pytest.approx(20.0 / 1200.0, rel=1e-12)
         assert bandwidth_cost(strategy, request, ring12) == pytest.approx(1.0 / 60.0, abs=1e-12)
 
@@ -64,12 +65,12 @@ class TestBandwidthCost:
     def test_two_edges_with_different_routes(self, ring12):
         request = make_request(0, 0, 4, [(4, 4, 10.0)], edge_bw=[10.0, 20.0])
         strategy = Strategy(
-            0, (0, 1, 4), (ring12.make_path([0, 1]), ring12.make_path([1, 2, 3, 4])), True, None
+            0, (0, 1, 4), (make_path(ring12, [0, 1]), make_path(ring12, [1, 2, 3, 4])), True, None
         )
         assert bandwidth_cost(strategy, request, ring12) == pytest.approx(70.0 / 1200.0, rel=1e-12)
 
     def test_out_and_back_charges_the_link_twice(self, ring12):
-        walk = ring12.candidate_sd_paths(0, 0, 2).paths[1]
+        walk = ring12.candidate_sd_paths(0, 0, 2)[1]
         assert walk.hop_count == 2 and len(set(walk.links)) == 1
         request = make_request(0, 0, 0, [], edge_bw=10.0)
         strategy = Strategy(0, (0, 0), (walk,), True, None)
@@ -125,7 +126,7 @@ class TestDelayCost:
     def test_budget_saturating_route_hits_exactly_one(self):
         graph = make_graph(2, [(0, 1, link_delay(600.0))])
         request = make_request(0, 0, 1, [(4, 4, 10.0)], max_delay=10.0 + link_delay(600.0))
-        strategy = Strategy(0, (0, 0, 1), (zero_hop(0), graph.make_path([0, 1])), True, None)
+        strategy = Strategy(0, (0, 0, 1), (zero_hop(0), make_path(graph, [0, 1])), True, None)
         assert delay_cost(strategy, request) == 1.0
 
     def test_pseudo_only_chain(self):
@@ -188,7 +189,7 @@ class TestContextView:
         context = idle_context(graph6)
         old = make_request(10, 0, 1, [(20.0, 30.0, 10.0)], edge_bw=40.0, duration=3)
         old_strategy = Strategy(
-            10, (0, 1, 1), (graph6.make_path([0, 1]), zero_hop(1)), True, None
+            10, (0, 1, 1), (make_path(graph6, [0, 1]), zero_hop(1)), True, None
         )
         context.committed.append(CommittedPlacement(old, old_strategy, 0, 2))
         new = make_request(11, 0, 0, [(8.0, 8.0, 10.0)])
@@ -198,7 +199,7 @@ class TestContextView:
         assert view.free_cpu[1] == 112.0 - 20.0
         assert view.free_mem[1] == 192.0 - 30.0
         assert view.free_cpu[2] == 112.0 - 8.0
-        link01 = graph6.link_between(0, 1).index
+        link01 = make_path(graph6, [0, 1]).links[0]
         assert view.free_bw[link01] == 100.0 - 40.0
         # committed lifetime reaches past this slot: host keeps serving
         assert view.serves_next[1] is True
@@ -237,7 +238,7 @@ class TestCheckFeasibility:
         graph = make_graph(2, [(0, 1, 3.0)])
         context = idle_context(graph)
         request = make_request(0, 0, 1, [(4.0, 4.0, 10.0)], max_delay=12.0)
-        strategy = Strategy(0, (0, 0, 1), (zero_hop(0), graph.make_path([0, 1])), True, None)
+        strategy = Strategy(0, (0, 0, 1), (zero_hop(0), make_path(graph, [0, 1])), True, None)
         profile = profile_of(graph, context, (request, strategy))
         violations = check_feasibility(profile, graph)
         assert [v.constraint for v in violations] == ["delay_budget"]
@@ -248,7 +249,7 @@ class TestCheckFeasibility:
         pairs = []
         for rid in (0, 1):
             request = make_request(rid, 0, 1, [], edge_bw=60.0, max_delay=10.0)
-            pairs.append((request, Strategy(rid, (0, 1), (graph.make_path([0, 1]),), True, None)))
+            pairs.append((request, Strategy(rid, (0, 1), (make_path(graph, [0, 1]),), True, None)))
         profile = profile_of(graph, context, *pairs)
         violations = check_feasibility(profile, graph)
         assert any(v.constraint == "link_bandwidth" for v in violations)
@@ -288,7 +289,7 @@ class TestEvaluateConsistency:
         context = idle_context(graph6)
         request = make_request(0, 0, 5, [(4.0, 4.0, 10.0), (6.0, 8.0, 20.0)], edge_bw=15.0, duration=2)
         hosts = (0, 2, 4, 5)
-        routes = (graph6.make_path([0, 2]), graph6.make_path([2, 4]), graph6.make_path([4, 5]))
+        routes = (make_path(graph6, [0, 2]), make_path(graph6, [2, 4]), make_path(graph6, [4, 5]))
         profile = profile_of(graph6, context)
         view = ContextView.build(graph6, profile)
         cost = evaluate_strategy(request, hosts, routes, graph6, view, thirds)

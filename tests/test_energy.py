@@ -7,8 +7,6 @@ from satchain.energy import (
     PowerParams,
     ServerFleet,
     ServerState,
-    server_active_power,
-    slot_power,
     step_server_state,
     vnf_power_attribution,
 )
@@ -122,22 +120,33 @@ class TestAttribution:
                 )
                 if not serves:
                     charged = True
-            assert total <= server_active_power(float(cpus.sum()), 112, TABLE_POWER) + 1e-9
+            active = TABLE_POWER.p_idle + float(cpus.sum()) / 112 * (TABLE_POWER.p_max - TABLE_POWER.p_idle)
+            assert total <= active + 1e-9
+
+
+def serving_power(cpu):
+    """The draw `ServerFleet.record` logs for one serving 112-vCPU server with ``cpu`` allocated."""
+    fleet = ServerFleet({0: TABLE_POWER})
+    fleet.mark_service({0})
+    fleet.record(0, {0: cpu}, {0: 112.0})
+    (row,) = fleet.timeline
+    assert row[:3] == (0, 0, "on")
+    return row[3]
 
 
 class TestServerActivePower:
     def test_unloaded_server_draws_idle_power(self):
-        assert server_active_power(0, 112, TABLE_POWER) == 49.9
+        assert serving_power(0.0) == 49.9
 
     def test_fully_loaded_server_draws_p_max(self):
-        assert server_active_power(112, 112, TABLE_POWER) == pytest.approx(415.0, rel=1e-12)
+        assert serving_power(112.0) == pytest.approx(415.0, rel=1e-12)
 
     def test_half_loaded_server(self):
-        assert server_active_power(56, 112, TABLE_POWER) == pytest.approx(232.45, rel=1e-12)
+        assert serving_power(56.0) == pytest.approx(232.45, rel=1e-12)
 
     def test_rejects_over_allocation(self):
-        with pytest.raises(ValueError):
-            server_active_power(113, 112, TABLE_POWER)
+        with pytest.raises(ValueError, match="node 0"):
+            serving_power(113.0)
 
 
 class TestFleetTimeline:
@@ -153,7 +162,7 @@ class TestFleetTimeline:
         fleet.record(5, {0: 8.0}, capacity)  # same slot, after placement
         fleet.advance({0}, 6)
         fleet.record(6, {0: 8.0}, capacity)
-        expected_on = server_active_power(8.0, 112.0, TABLE_POWER)
+        expected_on = serving_power(8.0)
         assert fleet.timeline == [
             (0, 0, "on", expected_on),
             (1, 0, "idle", 49.9),
@@ -165,17 +174,14 @@ class TestFleetTimeline:
             (6, 0, "on", expected_on),
         ]
 
-    def test_csv_export(self, tmp_path):
-        fleet = ServerFleet({0: TABLE_POWER})
-        fleet.record(0, {}, {0: 112.0})
-        out = tmp_path / "timeline.csv"
-        fleet.export_csv(str(out))
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "slot,node,mode,power"
-        assert lines[1].startswith("0,0,idle,")
-
     def test_slot_power_modes(self):
-        assert slot_power(Mode.OFF_AVAILABLE, 0, 112, TABLE_POWER) == 0.0
-        assert slot_power(Mode.IDLE, 0, 112, TABLE_POWER) == 49.9
-        assert slot_power(Mode.ON, 112, 112, TABLE_POWER) == pytest.approx(415.0)
-        assert slot_power(Mode.OFF_AVAILABLE, 0, 112, TABLE_POWER, setup=True) == 415.0
+        fleet = ServerFleet({n: TABLE_POWER for n in range(4)})
+        fleet.states[0] = fleet.states[3] = ServerState(Mode.OFF_AVAILABLE, off_since=0)
+        fleet.mark_service({2, 3})
+        fleet.record(1, {2: 112.0}, dict.fromkeys(range(4), 112.0))
+        assert fleet.timeline == [
+            (1, 0, "off_available", 0.0),
+            (1, 1, "idle", 49.9),
+            (1, 2, "on", pytest.approx(415.0)),
+            (1, 3, "setup", 415.0),
+        ]

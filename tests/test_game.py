@@ -142,7 +142,7 @@ class TestPotentialIdentity:
         for _ in range(200):
             rid = ids[int(rng.integers(len(ids)))]
             request = profile.requests[rid]
-            paths = graph6.candidate_sd_paths(request.source, request.destination, 8).paths
+            paths = graph6.candidate_sd_paths(request.source, request.destination, 8)
             path = paths[int(rng.integers(len(paths)))]
             view = ContextView.build(graph6, profile, exclude=rid)
             alt = viterbi_place(request, path, view, graph6, config.placement)

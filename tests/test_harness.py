@@ -20,7 +20,7 @@ from satchain.harness import (
     run_online,
     run_taguchi,
 )
-from satchain.workload import generate_requests, workload_to_json
+from satchain.workload import generate_requests
 
 from conftest import make_graph, make_request
 
@@ -301,6 +301,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="'latency' in section 'weights'"):
             SimulationConfig.from_json('{"weights": {"bw": 0.5, "power": 0.5, "latency": 0.0}}')
 
+    def test_from_json_takes_an_int_for_a_float_and_null_for_beam_width(self):
+        assert SimulationConfig.from_json('{"cpu": 100, "beam_width": null}') == SimulationConfig(
+            cpu=100.0, beam_width=None
+        )
+
     def test_from_json_keeps_defaults_for_absent_keys(self):
         config = SimulationConfig.from_json('{"requests": 3, "ranges": {"cpu": [2, 3]}}')
         assert config == SimulationConfig(requests=3, ranges=replace(SimulationConfig().ranges, cpu=(2, 3)))
@@ -390,6 +395,30 @@ class TestCli:
         assert message in err.splitlines()[-1]
 
     @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("5", "the top level"),
+            ('{"planes": "3"}', "'planes'"),
+            ('{"requests": "5"}', "'requests'"),
+            ('{"requests": true}', "'requests'"),
+            ('{"cpu": "x"}', "'cpu'"),
+            ('{"k_max": "a"}', "'k_max'"),
+            ('{"ranges": 5}', "'ranges'"),
+            ('{"beam_width": 2.5}', "'beam_width'"),
+        ],
+    )
+    def test_mistyped_config_value_is_a_usage_error_naming_the_key(self, text, key, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("satchain.cli.run_batch", lambda *args, **kwargs: pytest.fail("a run started"))
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(text)
+        with pytest.raises(SystemExit) as exited:
+            main(["batch", "--config", str(cfg_path)])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: satchain batch")
+        assert key in err.splitlines()[-1]
+
+    @pytest.mark.parametrize(
         "flags, message",
         [
             (["--d-levels", "0"], "num_paths must be >= 1"),
@@ -442,12 +471,13 @@ class TestOutputDigest:
     """Byte-level pin of everything the library writes out.
 
     Covers the metrics CSV/JSON of batch and on-line runs for every algorithm
-    at 6 and 12 nodes under both idle-charging rules, a small sweep table, and
-    the config, graph and workload JSON forms.  A refactor must leave the
+    at 6 and 12 nodes under both idle-charging rules, a small sweep table, the
+    config JSON form, and the repr of a graph and of a drawn workload, which
+    pins every field and float bit of both.  A refactor must leave the
     digest unchanged; a deliberate behaviour change updates it and says so.
     """
 
-    DIGEST = "ef71401b7e9ec8bea2ce789bf6c6ba0d93d69c4fedcbabc8473bd5378a8c502d"
+    DIGEST = "2422751c1b221f797089189e983808dda1795ccb03dad90c17a5134bd25b3e9a"
     SEEDS = {"pgra": (0,), "viterbi": (0, 1), "greedy": (0, 1, 2, 3)}
 
     def _texts(self):
@@ -471,8 +501,8 @@ class TestOutputDigest:
         yield SimulationConfig().to_json()
         yield SimulationConfig(beam_width=None, idle_charge="per_vnf", requests_per_slot=(2, 3)).to_json()
         graph = SimulationConfig().build_graph()
-        yield graph.to_json()
-        yield workload_to_json(generate_requests(5, graph, rng_seed=3, d=4))
+        yield repr(graph.nodes) + repr(graph.links)
+        yield repr(generate_requests(5, graph, rng_seed=3, d=4))
 
     def test_digest_is_pinned(self):
         digest = hashlib.sha256()

@@ -76,7 +76,7 @@ def independent_best_response(request, profile, graph, config):
     corridor, each with its own table and no certificate."""
     view = ContextView.build(graph, profile, exclude=request.id)
     corridors = {}
-    for path in graph.candidate_sd_paths(request.source, request.destination, config.num_paths).paths:
+    for path in graph.candidate_sd_paths(request.source, request.destination, config.num_paths):
         corridors.setdefault(frozenset(path.nodes), path)
     placed = [viterbi_place(request, path, view, graph, config) for path in corridors.values()]
     ranked = [(-s.payoff, sum(r.hop_count for r in s.routes), s.hosts, s) for s in placed if s is not None]
@@ -111,7 +111,7 @@ class TestViterbiPlace:
         context = idle_context(graph6)
         request = make_request(0, 4, 4, [], max_delay=10.0)
         profile = empty_profile(graph6, context, request)
-        path = graph6.candidate_sd_paths(4, 4, 1).paths[0]
+        path = graph6.candidate_sd_paths(4, 4, 1)[0]
         strategy = viterbi_place(request, path, fresh_view(graph6, profile, request), graph6, PlacementConfig())
         assert strategy is not None
         assert strategy.hosts == (4, 4)
@@ -128,7 +128,7 @@ class TestViterbiPlace:
         profile = empty_profile(graph, context, request)
         config = PlacementConfig(num_paths=2, beam_width=4)
         view = fresh_view(graph, profile, request)
-        zero_hop, out_and_back = graph.candidate_sd_paths(0, 0, 2).paths
+        zero_hop, out_and_back = graph.candidate_sd_paths(0, 0, 2)
         assert viterbi_place(request, zero_hop, view, graph, config) is None
         strategy = viterbi_place(request, out_and_back, view, graph, config)
         assert strategy.hosts == (0, 1, 0)
@@ -140,7 +140,7 @@ class TestViterbiPlace:
         checked = 0
         for _ in range(400):
             graph, _, request, view = random_micro_instance(rng)
-            for path in graph.candidate_sd_paths(request.source, request.destination, 2).paths:
+            for path in graph.candidate_sd_paths(request.source, request.destination, 2):
                 expected = enumerate_best_placement(request, path, view, graph, 2, Weights())
                 got = viterbi_place(request, path, view, graph, config)
                 if expected is None:
@@ -160,7 +160,7 @@ class TestViterbiPlace:
         view.free_bw = [float(data.draw(st.integers(10, 100))) for _ in graph.links]
         d = data.draw(st.integers(1, 4))
         config = PlacementConfig(num_paths=d, beam_width=None)
-        for path in graph.candidate_sd_paths(request.source, request.destination, d).paths:
+        for path in graph.candidate_sd_paths(request.source, request.destination, d):
             expected = enumerate_best_placement(request, path, view, graph, d, Weights())
             got = viterbi_place(request, path, view, graph, config)
             if expected is None:
@@ -201,7 +201,7 @@ class TestViterbiPlace:
             elif name in kinds:
                 setattr(shifted, name, [flag != data.draw(flip) for flag in getattr(view, name)])
         for request in requests:
-            for path in graph.candidate_sd_paths(request.source, request.destination, config.placement.num_paths).paths:
+            for path in graph.candidate_sd_paths(request.source, request.destination, config.placement.num_paths):
                 certificate = placement.Certificate()
                 got = viterbi_place(request, path, view, graph, config.placement, certificate)
                 certificate.seal(view)
@@ -214,7 +214,7 @@ class TestViterbiPlace:
         graph = make_graph(1, [], capacity={"cpu": 1.0, "memory": 64.0})
         request = make_request(0, 0, 0, [(0.1, 1.0, 1.0), (0.4, 1.0, 1.0)], max_delay=100.0)
         view = fresh_view(graph, empty_profile(graph, idle_context(graph), request), request)
-        path = graph.candidate_sd_paths(0, 0, 1).paths[0]
+        path = graph.candidate_sd_paths(0, 0, 1)[0]
         certificate = placement.Certificate()
         assert viterbi_place(request, path, view, graph, PlacementConfig(), certificate) is not None
         certificate.seal(view)
@@ -232,16 +232,16 @@ class TestViterbiPlace:
         )
         request = make_request(0, 0, 0, [(4.0, 4.0, 10.0)], edge_bw=10.0, max_delay=100.0)
         view = fresh_view(graph, empty_profile(graph, idle_context(graph), request), request)
-        path = next(p for p in graph.candidate_sd_paths(0, 0, 3).paths if 2 in p.nodes)
+        path = next(p for p in graph.candidate_sd_paths(0, 0, 3) if 2 in p.nodes)
         strategy = viterbi_place(request, path, view, graph, PlacementConfig(num_paths=2, beam_width=4))
-        assert [r.nodes for r in graph.k_shortest_paths(2, 0, 2).paths] == [(2, 1, 0), (2, 3, 0)]
+        assert [r.nodes for r in graph.k_shortest_paths(2, 0, 2)] == [(2, 1, 0), (2, 3, 0)]
         assert strategy.hosts == (0, 2, 0)
         assert [r.nodes for r in strategy.routes] == [(0, 1, 2), (2, 3, 0)]
 
     def test_builds_state_only_for_the_beam_survivors(self, graph6, monkeypatch):
         request = make_request(0, 0, 5, [(4.0, 4.0, 10.0)] * 3, max_delay=500.0)
         view = fresh_view(graph6, empty_profile(graph6, idle_context(graph6), request), request)
-        path = graph6.candidate_sd_paths(0, 5, 8).paths[-1]
+        path = graph6.candidate_sd_paths(0, 5, 8)[-1]
         config = PlacementConfig(num_paths=8, beam_width=2)
         expected = viterbi_place(request, path, view, graph6, config)
         built = []
@@ -254,7 +254,7 @@ class TestViterbiPlace:
         rng = np.random.default_rng(5)
         for _ in range(25):
             graph, _, request, view = random_micro_instance(rng)
-            path = graph.candidate_sd_paths(request.source, request.destination, 2).paths[-1]
+            path = graph.candidate_sd_paths(request.source, request.destination, 2)[-1]
             payoffs = []
             for beam in (1, 2, 4, 8):
                 placed = viterbi_place(request, path, view, graph, PlacementConfig(2, beam))
@@ -265,7 +265,7 @@ class TestViterbiPlace:
         context = idle_context(graph6)
         request = make_request(0, 0, 5, [(4.0, 4.0, 10.0)], max_delay=100.0)
         profile = empty_profile(graph6, context, request)
-        bad_path = graph6.k_shortest_paths(1, 5, 1).paths[0]
+        bad_path = graph6.k_shortest_paths(1, 5, 1)[0]
         with pytest.raises(ValueError):
             viterbi_place(request, bad_path, fresh_view(graph6, profile, request), graph6, PlacementConfig())
 
@@ -277,7 +277,7 @@ class TestBestResponse:
         profile = empty_profile(graph6, context, request)
         config = PlacementConfig(num_paths=1, beam_width=4)
         via_best = best_response(request, profile, graph6, config)
-        path = graph6.candidate_sd_paths(0, 5, 1).paths[0]
+        path = graph6.candidate_sd_paths(0, 5, 1)[0]
         direct = viterbi_place(request, path, fresh_view(graph6, profile, request), graph6, config)
         assert via_best == direct
 

@@ -1,4 +1,3 @@
-import json
 import math
 
 import pytest
@@ -8,10 +7,8 @@ from satchain.workload import (
     UserRequest,
     VnfSpec,
     WorkloadRanges,
+    acceptable_delay,
     generate_requests,
-    max_acceptable_delay,
-    workload_from_json,
-    workload_to_json,
 )
 
 from conftest import make_graph, make_request
@@ -53,29 +50,30 @@ class TestGeneration:
             assert r.vnfs[0].is_pseudo and r.vnfs[-1].is_pseudo
             assert len(r.edges) == len(r.vnfs) - 1
             assert r.max_delay >= r.total_exec_time
-            assert r.max_delay == max_acceptable_delay(r, graph6, 8)
+            assert r.max_delay == acceptable_delay(r.source, r.destination, r.total_exec_time, graph6, 8)
 
     def test_start_id_offsets_ids(self, graph6):
-        requests = generate_requests(3, graph6, rng_seed=1, start_id=100)
+        requests = generate_requests(3, graph6, rng_seed=1, slot=3, start_id=100)
         assert [r.id for r in requests] == [100, 101, 102]
+        assert [r.arrival_slot for r in requests] == [3, 3, 3]
 
 
 class TestAcceptableDelay:
     def test_co_located_endpoints_with_single_candidate(self, graph6):
         request = make_request(0, 2, 2, [(4, 4, 10.0), (4, 4, 10.0)], max_delay=20.0)
-        assert max_acceptable_delay(request, graph6, 1) == 20.0
+        assert acceptable_delay(request.source, request.destination, request.total_exec_time, graph6, 1) == 20.0
 
     def test_mean_over_two_candidate_paths(self):
         # direct 2.0 ms path and a 4.0 ms detour
         graph = make_graph(3, [(0, 2, 2.0), (0, 1, 1.5), (1, 2, 2.5)])
         request = make_request(0, 0, 2, [(4, 4, 10.0)], max_delay=100.0)
-        assert max_acceptable_delay(request, graph, 2) == pytest.approx(13.0, rel=1e-12)
+        assert acceptable_delay(0, 2, request.total_exec_time, graph, 2) == pytest.approx(13.0, rel=1e-12)
 
     def test_chain_execution_plus_single_path(self):
         graph = make_graph(2, [(0, 1, link_delay(600.0))])
         request = make_request(0, 0, 1, [(4, 4, 10.0), (4, 4, 20.0), (4, 4, 30.0)], max_delay=100.0)
         expected = 60.0 + link_delay(600.0)
-        assert max_acceptable_delay(request, graph, 1) == pytest.approx(expected, rel=1e-12)
+        assert acceptable_delay(0, 1, request.total_exec_time, graph, 1) == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(62.0014, abs=1e-4)
 
 
@@ -100,15 +98,3 @@ class TestValidation:
         with pytest.raises(ValueError):
             WorkloadRanges(vnf_count=(5, 4))
         assert WorkloadRanges().vnf_count == (5, 10)
-
-    def test_round_trip_through_dict(self, graph6):
-        request = generate_requests(1, graph6, rng_seed=9, slot=3)[0]
-        (doc,) = json.loads(workload_to_json([request]))
-        assert doc["arrival_slot"] == 3 and doc["vnfs"][0]["is_pseudo"] is True
-        assert workload_from_json(json.dumps([doc])) == [request]
-
-    def test_workload_replay_round_trip(self, graph6):
-        requests = generate_requests(7, graph6, rng_seed=31)
-        text = workload_to_json(requests)
-        assert workload_from_json(text) == requests
-        assert workload_to_json(workload_from_json(text)) == text
