@@ -3,7 +3,6 @@
 # the resulting cost breakdowns.
 
 from satchain import (
-    PlacementConfig,
     SimulationConfig,
     StrategyProfile,
     best_response,
@@ -27,10 +26,9 @@ print(f"request: {len(real)} VNFs, {request.source} -> {request.destination}, "
       f"lifetime {request.duration_slots} slot(s)")
 
 profile = StrategyProfile.empty([request], context)
-placement = PlacementConfig(num_paths=8, beam_width=4)
 
-beam = best_response(request, profile, graph, placement)
-greedy = greedy_place(request, profile, graph, placement)
+beam = best_response(request, profile, graph, config)
+greedy = greedy_place(request, profile, graph, config)
 
 for name, strategy in (("beam search", beam), ("greedy", greedy)):
     c = strategy.cost

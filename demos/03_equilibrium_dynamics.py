@@ -13,7 +13,7 @@ states = {n.id: ServerState(Mode.IDLE, idle_since=0) for n in graph.nodes}
 context = SlotContext(0, states, [], "once")
 
 requests = generate_requests(12, graph, config.ranges, rng_seed=7, d=config.num_paths)
-profile, trace = pgra_run(requests, graph, context, config.game_config())
+profile, trace = pgra_run(requests, graph, context, config)
 
 print("round  winner  payoff-before  payoff-after  improvement  proposals")
 for row in trace.rows:
@@ -24,7 +24,7 @@ for row in trace.rows:
 allocated = profile.allocated_ids()
 print(f"\nallocated {len(allocated)}/{len(requests)} requests, "
       f"network payoff {network_payoff(profile):.5f}")
-print(f"equilibrium: {is_nash(profile, graph, config.game_config())}")
+print(f"equilibrium: {is_nash(profile, graph, config)}")
 
 # The potential function moves exactly with the deviator's payoff: replay one
 # request's alternatives and measure the identity residual.
@@ -36,7 +36,7 @@ request = profile.requests[rid]
 view = ContextView.build(graph, profile, exclude=rid)
 worst = 0.0
 for path in graph.candidate_sd_paths(request.source, request.destination, config.num_paths):
-    alternative = viterbi_place(request, path, view, graph, config.placement_config())
+    alternative = viterbi_place(request, path, view, graph, config)
     if alternative is not None:
         worst = max(worst, potential_identity_check(profile, rid, alternative))
 print(f"max |network-payoff change - own-payoff change| over r{rid}'s deviations: {worst:.2e}")

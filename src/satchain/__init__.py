@@ -33,7 +33,7 @@ from .energy import (
     step_server_state,
     vnf_power_attribution,
 )
-from .game import GameConfig, GameTrace, is_nash, pgra_run, potential_identity_check
+from .game import GameTrace, is_nash, pgra_run, potential_identity_check
 from .harness import (
     OnlineSimulation,
     SimulationConfig,
@@ -43,7 +43,7 @@ from .harness import (
     run_online,
     run_taguchi,
 )
-from .placement import PlacementConfig, best_response, greedy_place, viterbi_place
+from .placement import best_response, greedy_place, viterbi_place
 from .topology import (
     Link,
     NetworkGraph,
@@ -54,7 +54,6 @@ from .topology import (
     link_delay,
 )
 from .workload import (
-    SfcEdge,
     UserRequest,
     VnfSpec,
     WorkloadRanges,

@@ -33,7 +33,7 @@ def check_potential_identity(seed: int = 0, instances: int = 4, triples: int = 5
     checked = 0
     for i in range(instances):
         graph, context, requests = _instance(config, seed + i, m=10)
-        profile, _ = pgra_run(requests, graph, context, config.game_config())
+        profile, _ = pgra_run(requests, graph, context, config)
         rng = np.random.default_rng(seed + i)
         ids = sorted(profile.requests)
         for _ in range(triples):
@@ -42,7 +42,7 @@ def check_potential_identity(seed: int = 0, instances: int = 4, triples: int = 5
             paths = graph.candidate_sd_paths(request.source, request.destination, config.num_paths)
             path = paths[int(rng.integers(len(paths)))]
             view = ContextView.build(graph, profile, exclude=rid)
-            alt = viterbi_place(request, path, view, graph, config.placement_config())
+            alt = viterbi_place(request, path, view, graph, config)
             if alt is None:
                 alt = Strategy.unallocated(rid)
             worst = max(worst, potential_identity_check(profile, rid, alt))
@@ -53,12 +53,11 @@ def check_potential_identity(seed: int = 0, instances: int = 4, triples: int = 5
 def check_nash_convergence(seed: int = 0, loads=(5, 10), instances: int = 2) -> tuple:
     """Runs converge before k_max, each commit raises Phi, and they end at a Nash equilibrium."""
     config = SimulationConfig()
-    game = config.game_config()
     checked = 0
     for m in loads:
         for i in range(instances):
             graph, context, requests = _instance(config, seed + i, m)
-            profile, trace = pgra_run(requests, graph, context, game)
+            profile, trace = pgra_run(requests, graph, context, config)
             where = f"M={m} seed={seed + i}"
             if trace.iterations >= config.k_max or not trace.converged:
                 return False, f"{where}: stopped after {trace.iterations} iterations unconverged", checked
@@ -67,7 +66,7 @@ def check_nash_convergence(seed: int = 0, loads=(5, 10), instances: int = 2) -> 
                 return False, f"{where}: a commit did not raise the network payoff", checked
             if any(after.phi_before != before.phi_after for before, after in zip(rows, rows[1:])):
                 return False, f"{where}: iteration rows do not chain", checked
-            if not is_nash(profile, graph, game):
+            if not is_nash(profile, graph, config):
                 return False, f"{where}: converged profile is not an equilibrium", checked
             checked += 1
     return True, f"{checked} runs converged to an equilibrium", checked
@@ -76,12 +75,11 @@ def check_nash_convergence(seed: int = 0, loads=(5, 10), instances: int = 2) -> 
 def check_beam_monotonicity(seed: int = 0, instances: int = 20) -> tuple:
     """Against three placed requests, a fourth never loses payoff as the beam widens."""
     config = SimulationConfig()
-    pcfg = config.placement_config()
     for i in range(instances):
         graph, context, requests = _instance(config, seed + i, m=5)
         profile = StrategyProfile.empty(requests, context)
         for request in requests[:3]:
-            strategy = best_response(request, profile, graph, pcfg)
+            strategy = best_response(request, profile, graph, config)
             if strategy is not None:
                 profile.strategies[request.id] = strategy
         target = requests[3]
@@ -89,7 +87,7 @@ def check_beam_monotonicity(seed: int = 0, instances: int = 20) -> tuple:
         view = ContextView.build(graph, profile, exclude=target.id)
         payoffs = []
         for beam in (1, 4, 8):
-            placed = viterbi_place(target, path, view, graph, replace(pcfg, beam_width=beam))
+            placed = viterbi_place(target, path, view, graph, replace(config, beam_width=beam))
             payoffs.append(-math.inf if placed is None else placed.payoff)
         if not (payoffs[0] <= payoffs[1] <= payoffs[2]):
             return False, f"seed {seed + i}: payoffs {payoffs} not monotone in beam width", i
@@ -111,7 +109,7 @@ def check_feasibility_invariance(
     for m in loads:
         for i in range(instances):
             graph, context, requests = _instance(config, seed + i, m)
-            profile, _ = pgra_run(requests, graph, context, config.game_config(), on_commit=audit)
+            profile, _ = pgra_run(requests, graph, context, config, on_commit=audit)
             audit(profile)
     online = replace(config, slots=slots, validate_each_step=True)
     failures = []

@@ -71,7 +71,6 @@ class CommittedPlacement:
 
     request: UserRequest
     strategy: Strategy
-    start_slot: int
     end_slot: int  # last slot (inclusive) the request occupies
 
 
@@ -141,9 +140,9 @@ class ContextView:
                     view.serves_next[host] = True
                 if view.mode[host] is Mode.IDLE:
                     view.idle_charged[host] = True
-            for edge, route in zip(request.edges, strategy.routes):
+            for bandwidth, route in zip(request.bandwidths, strategy.routes):
                 for link_index in route.links:
-                    view.free_bw[link_index] -= edge.bandwidth
+                    view.free_bw[link_index] -= bandwidth
 
         for placement in ctx.committed:
             consume(placement.request, placement.strategy, placement.end_slot >= ctx.slot + 1)
@@ -162,8 +161,8 @@ def bandwidth_cost(strategy: Strategy, request: UserRequest, graph: NetworkGraph
     if graph.total_bandwidth == 0:  # linkless graph: only zero-hop routes exist
         return 0.0
     total = 0.0
-    for edge, route in zip(request.edges, strategy.routes):
-        total += edge.bandwidth * route.hop_count
+    for bandwidth, route in zip(request.bandwidths, strategy.routes):
+        total += bandwidth * route.hop_count
     return total / graph.total_bandwidth
 
 
@@ -268,9 +267,9 @@ def check_feasibility(profile: StrategyProfile, graph: NetworkGraph) -> list:
             if not vnf.is_pseudo:
                 cpu_used[strategy.hosts[i]] += vnf.cpu
                 mem_used[strategy.hosts[i]] += vnf.memory
-        for edge, route in zip(request.edges, strategy.routes):
+        for bandwidth, route in zip(request.bandwidths, strategy.routes):
             for link_index in route.links:
-                bw_used[link_index] += edge.bandwidth
+                bw_used[link_index] += bandwidth
 
     active = [(p.request, p.strategy) for p in ctx.committed]
     for rid in sorted(profile.strategies):
@@ -278,14 +277,13 @@ def check_feasibility(profile: StrategyProfile, graph: NetworkGraph) -> list:
         if not strategy.allocated:
             continue
         request = profile.requests[rid]
-        active.append((request, strategy))
-
+        reported = len(violations)
         if len(strategy.hosts) != len(request.vnfs):
             violations.append(Violation("vnf_assignment", rid, "host count != VNF count"))
             continue
         if strategy.hosts[0] != request.source or strategy.hosts[-1] != request.destination:
             violations.append(Violation("vnf_assignment", rid, "endpoints not pinned"))
-        if len(strategy.routes) != len(request.edges):
+        if len(strategy.routes) != len(request.bandwidths):
             violations.append(Violation("route_selection", rid, "route count != edge count"))
             continue
         for j, route in enumerate(strategy.routes):
@@ -294,6 +292,8 @@ def check_feasibility(profile: StrategyProfile, graph: NetworkGraph) -> list:
                 violations.append(Violation("route_selection", (rid, j), "route does not connect hosts"))
             if a == b and route.hop_count != 0:
                 violations.append(Violation("route_selection", (rid, j), "co-located hosts need a zero-hop route"))
+        if len(violations) == reported:  # a malformed strategy is reported, not tallied
+            active.append((request, strategy))
         if delay_cost(strategy, request) > 1.0 + 1e-12:
             violations.append(Violation("delay_budget", rid, "end-to-end time exceeds the budget"))
         for i, vnf in enumerate(request.vnfs):

@@ -25,22 +25,16 @@ independently.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .costing import StrategyProfile, SlotContext, Strategy, network_payoff
-from .placement import PlacementConfig, best_response
+from .placement import best_response
 from .topology import NetworkGraph
 
+if TYPE_CHECKING:
+    from .harness import SimulationConfig
+
 EPSILON = 1e-9  # the smallest payoff gain that counts as an improving move
-
-
-@dataclass(frozen=True)
-class GameConfig:
-    k_max: int = 100
-    placement: PlacementConfig = PlacementConfig()
-
-    def __post_init__(self):
-        if self.k_max < 1:
-            raise ValueError("k_max must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -68,7 +62,7 @@ class GameTrace:
         return bool(self.rows) and self.rows[-1].winner is None
 
 
-def _improving_move(request, profile: StrategyProfile, graph: NetworkGraph, config: GameConfig, memo=None):
+def _improving_move(request, profile: StrategyProfile, graph: NetworkGraph, config: SimulationConfig, memo=None):
     """(best response, payoff gain) when it is a move, else None.
 
     A best response that merely re-prices the current placement under a
@@ -78,7 +72,7 @@ def _improving_move(request, profile: StrategyProfile, graph: NetworkGraph, conf
     (hosts, routes) is the same placement.  `memo` goes to `best_response`.
     """
     current = profile.strategies[request.id]
-    proposal = best_response(request, profile, graph, config.placement, memo)
+    proposal = best_response(request, profile, graph, config, memo)
     if proposal is None or (proposal.hosts, proposal.routes) == (current.hosts, current.routes):
         return None
     gain = proposal.payoff - current.payoff
@@ -89,7 +83,7 @@ def pgra_run(
     requests: list,
     graph: NetworkGraph,
     context: SlotContext,
-    config: GameConfig,
+    config: SimulationConfig,
     on_commit=None,
 ) -> tuple:
     """Run the dynamics for one slot's requests; returns (profile, trace).
@@ -130,7 +124,7 @@ def pgra_run(
     return profile, trace
 
 
-def is_nash(profile: StrategyProfile, graph: NetworkGraph, config: GameConfig) -> bool:
+def is_nash(profile: StrategyProfile, graph: NetworkGraph, config: SimulationConfig) -> bool:
     """True when no request has an improving unilateral move left."""
     return all(
         _improving_move(profile.requests[rid], profile, graph, config) is None for rid in sorted(profile.requests)

@@ -27,10 +27,10 @@ from .costing import (
     network_payoff,
 )
 from .energy import PowerParams, ServerFleet
-from .game import GameConfig, pgra_run
-from .placement import PlacementConfig, best_response, greedy_place
+from .game import pgra_run
+from .placement import best_response, greedy_place
 from .topology import NetworkGraph, build_constellation
-from .workload import WorkloadRanges, generate_requests
+from .workload import WorkloadRanges, check_bounds, generate_requests
 
 ALGORITHMS = ("pgra", "viterbi", "greedy")
 
@@ -68,17 +68,14 @@ class SimulationConfig:
             raise ValueError("requests must be >= 0")
         if self.slots < 1:
             raise ValueError("slots must be >= 1")
-        bounds = self.requests_per_slot
-        if not (
-            isinstance(bounds, (tuple, list))
-            and len(bounds) == 2
-            and all(isinstance(v, int) for v in bounds)
-            and 0 <= bounds[0] <= bounds[1]
-        ):
-            raise ValueError(f"requests_per_slot must be two ints lo, hi with 0 <= lo <= hi, not {bounds!r}")
-        # the derived configs check their own fields (game_config builds placement_config)
-        self.game_config()
-        self.power_params()
+        check_bounds("requests_per_slot", self.requests_per_slot, 0)
+        if self.num_paths < 1:
+            raise ValueError("num_paths must be >= 1")
+        if self.beam_width is not None and self.beam_width < 1:
+            raise ValueError("beam_width must be >= 1 (or None for unlimited)")
+        if self.k_max < 1:
+            raise ValueError("k_max must be >= 1")
+        self.power_params()  # PowerParams checks the power and timing fields
 
     def with_nodes(self, total: int) -> "SimulationConfig":
         if total % self.planes:
@@ -98,12 +95,6 @@ class SimulationConfig:
             self.power_params(),
             self.link_bandwidth,
         )
-
-    def placement_config(self) -> PlacementConfig:
-        return PlacementConfig(self.num_paths, self.beam_width, self.weights)
-
-    def game_config(self) -> GameConfig:
-        return GameConfig(self.k_max, self.placement_config())
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
@@ -166,7 +157,7 @@ def _allocate(algorithm, requests, graph, context, config: SimulationConfig):
         on_commit = None
         if config.validate_each_step:
             on_commit = lambda profile: _assert_feasible(profile, graph, "infeasible committed profile")
-        profile, trace = pgra_run(requests, graph, context, config.game_config(), on_commit=on_commit)
+        profile, trace = pgra_run(requests, graph, context, config, on_commit=on_commit)
         if not trace.converged:
             warnings.warn(
                 f"slot {context.slot}: pgra stopped at k_max={config.k_max} before converging", RuntimeWarning
@@ -176,9 +167,8 @@ def _allocate(algorithm, requests, graph, context, config: SimulationConfig):
         raise ValueError(f"unknown algorithm {algorithm!r}")
     place = best_response if algorithm == "viterbi" else greedy_place
     profile = StrategyProfile.empty(requests, context)
-    pcfg = config.placement_config()
     for rid in sorted(profile.requests):
-        strategy = place(profile.requests[rid], profile, graph, pcfg)
+        strategy = place(profile.requests[rid], profile, graph, config)
         if strategy is not None:
             profile.strategies[rid] = strategy
     return profile, 1
@@ -263,7 +253,7 @@ class OnlineSimulation:
         for rid in profile.allocated_ids():
             request = profile.requests[rid]
             self.running.append(
-                CommittedPlacement(request, profile.strategies[rid], slot, slot + request.duration_slots - 1)
+                CommittedPlacement(request, profile.strategies[rid], slot + request.duration_slots - 1)
             )
         allocated_cpu = self._cpu_by_host()
         self.fleet.mark_service(set(allocated_cpu))

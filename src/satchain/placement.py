@@ -23,24 +23,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .costing import ContextView, Strategy, StrategyProfile, Weights, evaluate_strategy
+from .costing import ContextView, Strategy, StrategyProfile, evaluate_strategy
 from .energy import Mode
 from .topology import NetworkGraph, Path
 from .workload import UserRequest
 
-
-@dataclass(frozen=True)
-class PlacementConfig:
-    num_paths: int = 8  # candidate source-destination paths per request
-    beam_width: int | None = 4  # partial placements kept per stage; None = unlimited
-    weights: Weights = Weights()
-
-    def __post_init__(self):
-        if self.num_paths < 1:
-            raise ValueError("num_paths must be >= 1")
-        if self.beam_width is not None and self.beam_width < 1:
-            raise ValueError("beam_width must be >= 1 (or None for unlimited)")
+if TYPE_CHECKING:
+    from .harness import SimulationConfig
 
 
 @dataclass(slots=True)
@@ -138,7 +129,7 @@ def _beam_search(
     corridor: list,
     view: ContextView,
     graph: NetworkGraph,
-    config: PlacementConfig,
+    config: SimulationConfig,
     beam_width: int | None,
     certificate: Certificate | None = None,
     table: dict | None = None,
@@ -158,7 +149,7 @@ def _beam_search(
     link is tested once against one traversal's bandwidth.
     """
     vnfs = request.vnfs
-    edges = request.edges
+    bandwidths = request.bandwidths
     n_nodes, n_links = len(graph.nodes), len(graph.links)
     weights = config.weights
     inv_bw_total = 1.0 / graph.total_bandwidth if graph.total_bandwidth else 0.0
@@ -187,7 +178,7 @@ def _beam_search(
     for stage in range(1, len(vnfs)):
         vnf = vnfs[stage]
         pseudo = vnf.is_pseudo
-        bandwidth = edges[stage - 1].bandwidth
+        bandwidth = bandwidths[stage - 1]
         exec_time = vnf.exec_time
         candidates = (request.destination,) if stage == len(vnfs) - 1 else corridor
         if certificate is not None:
@@ -321,7 +312,7 @@ def viterbi_place(
     path: Path,
     view: ContextView,
     graph: NetworkGraph,
-    config: PlacementConfig,
+    config: SimulationConfig,
     certificate: Certificate | None = None,
     table: dict | None = None,
 ) -> Strategy | None:
@@ -340,7 +331,7 @@ def best_response(
     request: UserRequest,
     profile: StrategyProfile,
     graph: NetworkGraph,
-    config: PlacementConfig,
+    config: SimulationConfig,
     memo: dict | None = None,
 ) -> Strategy | None:
     """Payoff-maximal strategy over all candidate paths, others held fixed.
@@ -389,7 +380,7 @@ def greedy_place(
     request: UserRequest,
     profile: StrategyProfile,
     graph: NetworkGraph,
-    config: PlacementConfig,
+    config: SimulationConfig,
 ) -> Strategy | None:
     """One-pass placement: each VNF takes the best feasible node right now.
 

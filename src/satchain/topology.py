@@ -89,7 +89,8 @@ class Path:
 class NetworkGraph:
     """Immutable-after-build constellation graph that owns its ranked routes.
 
-    Node ids must be the contiguous range 0..N-1.  On the first use of a path
+    Node ids must be the contiguous range 0..N-1, and each link must sit at
+    position ``link.index`` of the link list.  On the first use of a path
     count ``d``, `route_matrix` fills ``routes[a][b]`` for every pair with the
     tuple of top-``d`` `Path`s (None for a disconnected pair); shortest delays to
     each target and same-node walk sets are cached too.  The graph is
@@ -105,7 +106,9 @@ class NetworkGraph:
         self.links = list(links)
         pairs: set = set()
         self._adj: dict = {n.id: [] for n in self.nodes}
-        for link in self.links:
+        for position, link in enumerate(self.links):
+            if link.index != position:  # path search and the kernel index links by position
+                raise ValueError(f"link {link.index} ({link.u}-{link.v}) is at position {position}, not at its index")
             key = (min(link.u, link.v), max(link.u, link.v))
             if key in pairs:
                 raise ValueError(f"duplicate link {key}")

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -31,19 +31,6 @@ PSEUDO_VNF = VnfSpec(0.0, 0.0, 0.0, is_pseudo=True)
 
 
 @dataclass(frozen=True)
-class SfcEdge:
-    from_index: int
-    to_index: int
-    bandwidth: float  # Mbps
-
-    def __post_init__(self):
-        if self.to_index != self.from_index + 1:
-            raise ValueError("edges must follow the chain order")
-        if self.bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
-
-
-@dataclass(frozen=True)
 class UserRequest:
     """A chain request: pinned endpoints, ordered VNFs, delay and lifetime."""
 
@@ -51,7 +38,7 @@ class UserRequest:
     source: int
     destination: int
     vnfs: tuple  # VnfSpec; vnfs[0] and vnfs[-1] are pseudo endpoints
-    edges: tuple  # SfcEdge, one per consecutive pair
+    bandwidths: tuple  # Mbps per chain edge, one per consecutive VNF pair
     max_delay: float  # ms
     arrival_slot: int = 0
     duration_slots: int = 1
@@ -59,8 +46,10 @@ class UserRequest:
     def __post_init__(self):
         if len(self.vnfs) < 2 or not (self.vnfs[0].is_pseudo and self.vnfs[-1].is_pseudo):
             raise ValueError("chain must be bracketed by pseudo endpoints")
-        if len(self.edges) != len(self.vnfs) - 1:
-            raise ValueError("need exactly one edge per consecutive VNF pair")
+        if len(self.bandwidths) != len(self.vnfs) - 1:
+            raise ValueError("need exactly one bandwidth per consecutive VNF pair")
+        if any(bandwidth <= 0 for bandwidth in self.bandwidths):
+            raise ValueError("bandwidth must be positive")
         # equality is reachable when source == destination and d == 1 leaves a
         # zero-delay candidate set, so >= rather than strict
         if self.max_delay < self.total_exec_time:
@@ -89,9 +78,19 @@ class WorkloadRanges:
     duration: tuple = (1, 4)  # slots
 
     def __post_init__(self):
-        for lo, hi in (self.vnf_count, self.cpu, self.memory, self.exec_time, self.bandwidth, self.duration):
-            if lo < 1 or hi < lo:
-                raise ValueError("ranges must satisfy 1 <= lo <= hi")
+        for f in fields(self):
+            check_bounds(f"ranges.{f.name}", getattr(self, f.name), 1)
+
+
+def check_bounds(name: str, bounds, low: int) -> None:
+    """Raise ValueError naming `name` unless `bounds` is two ints (not bools) lo, hi with low <= lo <= hi."""
+    if not (
+        isinstance(bounds, (tuple, list))
+        and len(bounds) == 2
+        and all(isinstance(v, int) and not isinstance(v, bool) for v in bounds)
+        and low <= bounds[0] <= bounds[1]
+    ):
+        raise ValueError(f"{name} must be two ints lo, hi with {low} <= lo <= hi, not {bounds!r}")
 
 
 def acceptable_delay(source: int, destination: int, exec_total: float, graph: NetworkGraph, d: int) -> float:
@@ -133,9 +132,8 @@ def generate_requests(
             exec_time = float(rng.integers(ranges.exec_time[0], ranges.exec_time[1] + 1))
             vnfs.append(VnfSpec(cpu, memory, exec_time))
         vnfs.append(PSEUDO_VNF)
-        edges = tuple(
-            SfcEdge(j, j + 1, float(rng.integers(ranges.bandwidth[0], ranges.bandwidth[1] + 1)))
-            for j in range(len(vnfs) - 1)
+        bandwidths = tuple(
+            float(rng.integers(ranges.bandwidth[0], ranges.bandwidth[1] + 1)) for _ in range(len(vnfs) - 1)
         )
         duration = int(rng.integers(ranges.duration[0], ranges.duration[1] + 1))
         exec_total = math.fsum(v.exec_time for v in vnfs)
@@ -145,7 +143,7 @@ def generate_requests(
                 source=source,
                 destination=destination,
                 vnfs=tuple(vnfs),
-                edges=edges,
+                bandwidths=bandwidths,
                 max_delay=acceptable_delay(source, destination, exec_total, graph, d),
                 arrival_slot=slot,
                 duration_slots=duration,

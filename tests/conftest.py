@@ -3,7 +3,7 @@ import pytest
 from satchain.costing import ContextView, SlotContext, StrategyProfile, Weights
 from satchain.energy import Mode, PowerParams, ServerState
 from satchain.topology import Link, NetworkGraph, SatelliteNode, build_constellation
-from satchain.workload import PSEUDO_VNF, SfcEdge, UserRequest, VnfSpec
+from satchain.workload import PSEUDO_VNF, UserRequest, VnfSpec
 
 TABLE_POWER = PowerParams(p_idle=49.9, p_max=415.0, t_idle_max=3, t_off_min=1)
 TABLE_CAPACITY = {"cpu": 112.0, "memory": 192.0}
@@ -45,16 +45,15 @@ def make_request(
     """Chain request from (cpu, memory, exec) triples, endpoints added."""
     vnfs = [PSEUDO_VNF] + [VnfSpec(cpu, mem, exec_time) for cpu, mem, exec_time in vnf_specs] + [PSEUDO_VNF]
     if isinstance(edge_bw, (int, float)):
-        bws = [float(edge_bw)] * (len(vnfs) - 1)
+        bandwidths = (float(edge_bw),) * (len(vnfs) - 1)
     else:
-        bws = list(edge_bw)
-    edges = tuple(SfcEdge(i, i + 1, bws[i]) for i in range(len(vnfs) - 1))
+        bandwidths = tuple(edge_bw)
     return UserRequest(
         id=request_id,
         source=source,
         destination=destination,
         vnfs=tuple(vnfs),
-        edges=edges,
+        bandwidths=bandwidths,
         max_delay=max_delay,
         arrival_slot=arrival_slot,
         duration_slots=duration,

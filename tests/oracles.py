@@ -6,7 +6,7 @@ calling the search code they verify.
 
 import math
 
-from satchain.costing import evaluate_strategy
+from satchain.costing import ContextView, Strategy, evaluate_strategy
 from satchain.energy import Mode
 from satchain.topology import Path
 
@@ -44,31 +44,25 @@ def all_simple_paths(graph, s, t):
     return found
 
 
-def enumerate_best_placement(request, path, view, graph, d, weights):
-    """Max-payoff placement over all host tuples in the corridor.
+def enumerate_corridor_placements(request, corridor, view, graph, d, weights):
+    """Every completable placement with hosts in ``corridor`` (endpoints pinned).
 
-    Hosts range over the candidate path's node set (endpoints pinned); the
-    route of each chain edge is the first ranked shortest path between the
-    hosts that fits the remaining bandwidth and the delay budget, matching
-    the documented strategy space.  Returns (payoff, hosts, routes) or None.
+    The route of each chain edge is the first ranked shortest path between
+    the hosts that fits the remaining bandwidth and the delay budget,
+    matching the documented strategy space.  Returns (cost, hosts, routes)
+    triples.
     """
-    corridor = sorted(set(path.nodes))
+    corridor = sorted(corridor)
     vnfs = request.vnfs
-    best = None
-    best_key = None
+    found = []
 
     def recurse(stage, hosts, routes, delay, used_cpu, used_mem, used_bw):
-        nonlocal best, best_key
         if stage == len(vnfs):
-            cost = evaluate_strategy(request, tuple(hosts), tuple(routes), graph, view, weights)
-            hops = sum(r.hop_count for r in routes)
-            key = (-cost.payoff, hops, tuple(hosts))
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (cost.payoff, tuple(hosts), tuple(routes))
+            hosts, routes = tuple(hosts), tuple(routes)
+            found.append((evaluate_strategy(request, hosts, routes, graph, view, weights), hosts, routes))
             return
         vnf = vnfs[stage]
-        bandwidth = request.edges[stage - 1].bandwidth
+        bandwidth = request.bandwidths[stage - 1]
         candidates = [request.destination] if stage == len(vnfs) - 1 else corridor
         for node_id in candidates:
             if not vnf.is_pseudo:
@@ -112,13 +106,24 @@ def enumerate_best_placement(request, path, view, graph, d, weights):
             )
 
     recurse(1, [request.source], [], 0.0, {}, {}, {})
-    return best
+    return found
+
+
+def enumerate_best_placement(request, path, view, graph, d, weights):
+    """Max-payoff placement over all host tuples in the candidate path's node
+    set, ties to fewer hops then the smaller host tuple.  Returns (payoff,
+    hosts, routes) or None."""
+    placements = enumerate_corridor_placements(request, set(path.nodes), view, graph, d, weights)
+    if not placements:
+        return None
+    cost, hosts, routes = min(
+        placements, key=lambda entry: (-entry[0].payoff, sum(r.hop_count for r in entry[2]), entry[1])
+    )
+    return cost.payoff, hosts, routes
 
 
 def enumerate_request_strategies(request, profile, graph, d, weights):
     """Every completable placement of one request, as Strategy objects."""
-    from satchain.costing import ContextView, Strategy
-
     view = ContextView.build(graph, profile, exclude=request.id)
     strategies = []
     seen = set()
@@ -127,57 +132,6 @@ def enumerate_request_strategies(request, profile, graph, d, weights):
         if corridor in seen:
             continue
         seen.add(corridor)
-        collected = []
-
-        def recurse(stage, hosts, routes, delay, used_cpu, used_mem, used_bw):
-            if stage == len(request.vnfs):
-                cost = evaluate_strategy(request, tuple(hosts), tuple(routes), graph, view, weights)
-                collected.append(Strategy(request.id, tuple(hosts), tuple(routes), True, cost))
-                return
-            vnf = request.vnfs[stage]
-            bandwidth = request.edges[stage - 1].bandwidth
-            nodes = [request.destination] if stage == len(request.vnfs) - 1 else sorted(corridor)
-            for node_id in nodes:
-                if not vnf.is_pseudo:
-                    if view.mode[node_id] is Mode.OFF_UNAVAILABLE:
-                        continue
-                    if view.free_cpu[node_id] - used_cpu.get(node_id, 0.0) < vnf.cpu - 1e-9:
-                        continue
-                    if view.free_mem[node_id] - used_mem.get(node_id, 0.0) < vnf.memory - 1e-9:
-                        continue
-                route = None
-                for candidate_route in graph.k_shortest_paths(hosts[-1], node_id, d):
-                    if delay + candidate_route.total_delay + vnf.exec_time > request.max_delay:
-                        break
-                    need = {}
-                    for link_index in candidate_route.links:
-                        need[link_index] = need.get(link_index, 0.0) + bandwidth
-                    if all(
-                        view.free_bw[link_index] - used_bw.get(link_index, 0.0) >= amount - 1e-9
-                        for link_index, amount in need.items()
-                    ):
-                        route = candidate_route
-                        break
-                if route is None:
-                    continue
-                new_cpu = dict(used_cpu)
-                new_mem = dict(used_mem)
-                if not vnf.is_pseudo:
-                    new_cpu[node_id] = new_cpu.get(node_id, 0.0) + vnf.cpu
-                    new_mem[node_id] = new_mem.get(node_id, 0.0) + vnf.memory
-                new_bw = dict(used_bw)
-                for link_index in route.links:
-                    new_bw[link_index] = new_bw.get(link_index, 0.0) + bandwidth
-                recurse(
-                    stage + 1,
-                    hosts + [node_id],
-                    routes + [route],
-                    delay + route.total_delay + vnf.exec_time,
-                    new_cpu,
-                    new_mem,
-                    new_bw,
-                )
-
-        recurse(1, [request.source], [], 0.0, {}, {}, {})
-        strategies.extend(collected)
+        for cost, hosts, routes in enumerate_corridor_placements(request, corridor, view, graph, d, weights):
+            strategies.append(Strategy(request.id, hosts, routes, True, cost))
     return strategies

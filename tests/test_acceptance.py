@@ -21,7 +21,7 @@ from satchain.checks import (
 )
 from satchain.costing import ContextView, Strategy, StrategyProfile, Weights, bandwidth_cost
 from satchain.harness import SimulationConfig, run_batch, run_taguchi
-from satchain.placement import PlacementConfig, viterbi_place
+from satchain.placement import viterbi_place
 
 from conftest import idle_context, make_request, random_micro_instance, ring_graph
 from oracles import enumerate_best_placement, make_path
@@ -50,7 +50,7 @@ def test_2_nash_convergence():
 def test_3_beam_search_matches_exhaustive_optimum():
     started = time.perf_counter()
     rng = np.random.default_rng(303)
-    config = PlacementConfig(num_paths=2, beam_width=None)
+    config = SimulationConfig(num_paths=2, beam_width=None)
     compared = 0
     worst = 0.0
     while compared < 50:
@@ -151,7 +151,7 @@ def test_10_spot_arithmetic():
     profile = StrategyProfile.empty([request], context)
     view = ContextView.build(GRAPH6, profile, exclude=0)
     path = GRAPH6.candidate_sd_paths(0, 0, 1)[0]
-    strategy = viterbi_place(request, path, view, GRAPH6, BASE.placement_config())
+    strategy = viterbi_place(request, path, view, GRAPH6, BASE)
     expected_energy = ((4.0 / 112.0) * (415.0 - 49.9)) / (6 * 415.0)
     energy_ok = abs(strategy.cost.power - expected_energy) <= 1e-9
 

@@ -101,7 +101,7 @@ def test_is_nash_runs_without_certificates(monkeypatch):
     config = SimulationConfig().with_nodes(6)
     sim = OnlineSimulation(config)
     requests = generate_requests(10, sim.graph, config.ranges, 3, slot=0, d=config.num_paths)
-    profile, trace = pgra_run(requests, sim.graph, sim.context(0), config.game_config())
+    profile, trace = pgra_run(requests, sim.graph, sim.context(0), config)
     assert trace.converged
 
     def refuse(self, *args):
@@ -109,6 +109,6 @@ def test_is_nash_runs_without_certificates(monkeypatch):
 
     for method in ("__init__", "seal", "holds"):
         monkeypatch.setattr(placement.Certificate, method, refuse)
-    assert is_nash(profile, sim.graph, config.game_config())
+    assert is_nash(profile, sim.graph, config)
     with pytest.raises(AssertionError, match="certificate consulted"):
-        pgra_run(requests, sim.graph, sim.context(0), config.game_config())
+        pgra_run(requests, sim.graph, sim.context(0), config)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -18,8 +19,10 @@ from satchain.costing import (
     user_payoff,
 )
 from satchain.energy import Mode, ServerState
+from satchain.harness import SimulationConfig
+from satchain.placement import best_response
 from satchain.topology import Path, link_delay
-from satchain.workload import PSEUDO_VNF
+from satchain.workload import PSEUDO_VNF, generate_requests
 
 from conftest import idle_context, make_graph, make_request, ring_graph
 from oracles import make_path
@@ -191,7 +194,7 @@ class TestContextView:
         old_strategy = Strategy(
             10, (0, 1, 1), (make_path(graph6, [0, 1]), zero_hop(1)), True, None
         )
-        context.committed.append(CommittedPlacement(old, old_strategy, 0, 2))
+        context.committed.append(CommittedPlacement(old, old_strategy, 2))
         new = make_request(11, 0, 0, [(8.0, 8.0, 10.0)])
         new_strategy = build_strategy(new, graph6, context, (0, 2, 0), [(0, 2), (2, 0)])
         profile = profile_of(graph6, context, (new, new_strategy))
@@ -276,12 +279,48 @@ class TestCheckFeasibility:
         context = idle_context(graph6)
         old = make_request(1, 0, 0, [(110.0, 4.0, 10.0)], max_delay=100.0)
         old_strategy = Strategy(1, (0, 0, 0), (zero_hop(0), zero_hop(0)), True, None)
-        context.committed.append(CommittedPlacement(old, old_strategy, 0, 5))
+        context.committed.append(CommittedPlacement(old, old_strategy, 5))
         new = make_request(2, 0, 0, [(4.0, 4.0, 10.0)], max_delay=100.0)
         new_strategy = Strategy(2, (0, 0, 0), (zero_hop(0), zero_hop(0)), True, None)
         profile = profile_of(graph6, context, (new, new_strategy))
         violations = check_feasibility(profile, graph6)
         assert any(v.constraint == "node_capacity" for v in violations)
+
+
+    @pytest.mark.parametrize(
+        "mutate, constraint, detail",
+        [
+            (lambda s, g: replace(s, hosts=s.hosts[:-2]), "vnf_assignment", "host count != VNF count"),
+            (
+                lambda s, g: replace(s, hosts=((s.hosts[0] + 1) % len(g.nodes),) + s.hosts[1:]),
+                "vnf_assignment",
+                "endpoints not pinned",
+            ),
+            (lambda s, g: replace(s, routes=s.routes[:-1]), "route_selection", "route count != edge count"),
+            (
+                lambda s, g: replace(s, routes=(zero_hop((s.hosts[0] + 1) % len(g.nodes)),) + s.routes[1:]),
+                "route_selection",
+                "route does not connect hosts",
+            ),
+            (
+                lambda s, g: replace(
+                    s,
+                    hosts=(s.hosts[0],) * 2 + s.hosts[2:],
+                    routes=(g.candidate_sd_paths(s.hosts[0], s.hosts[0], 2)[1],) + s.routes[1:],
+                ),
+                "route_selection",
+                "co-located hosts need a zero-hop route",
+            ),
+        ],
+        ids=["host-count", "endpoints", "route-count", "route-joins-hosts", "co-located-route"],
+    )
+    def test_malformed_strategy_is_reported_not_tallied(self, graph6, mutate, constraint, detail):
+        context = idle_context(graph6)
+        request = generate_requests(1, graph6, rng_seed=5, d=8)[0]
+        strategy = best_response(request, StrategyProfile.empty([request], context), graph6, SimulationConfig())
+        assert check_feasibility(profile_of(graph6, context, (request, strategy)), graph6) == []
+        violations = check_feasibility(profile_of(graph6, context, (request, mutate(strategy, graph6))), graph6)
+        assert (constraint, detail) in {(v.constraint, v.detail) for v in violations}
 
 
 class TestEvaluateConsistency:

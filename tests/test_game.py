@@ -11,8 +11,9 @@ from satchain.costing import (
     check_feasibility,
     network_payoff,
 )
-from satchain.game import GameConfig, is_nash, pgra_run, potential_identity_check
-from satchain.placement import PlacementConfig, best_response, viterbi_place
+from satchain.game import is_nash, pgra_run, potential_identity_check
+from satchain.harness import SimulationConfig
+from satchain.placement import best_response, viterbi_place
 from satchain.workload import generate_requests
 
 from conftest import idle_context, make_graph, make_request
@@ -20,7 +21,7 @@ from oracles import enumerate_request_strategies
 
 
 def small_config(num_paths=4, beam=4):
-    return GameConfig(k_max=100, placement=PlacementConfig(num_paths, beam))
+    return SimulationConfig(k_max=100, num_paths=num_paths, beam_width=beam)
 
 
 class TestPgraRun:
@@ -33,7 +34,7 @@ class TestPgraRun:
 
     def test_k_max_cut_off_is_not_converged(self, graph6):
         requests = generate_requests(6, graph6, rng_seed=2, d=4)
-        config = GameConfig(k_max=2, placement=PlacementConfig(4, 4))
+        config = SimulationConfig(k_max=2, num_paths=4, beam_width=4)
         _, cut = pgra_run(requests, graph6, idle_context(graph6), config)
         _, full = pgra_run(requests, graph6, idle_context(graph6), small_config())
         assert cut.iterations == 2 and not cut.converged
@@ -43,7 +44,7 @@ class TestPgraRun:
         context = idle_context(graph6)
         request = make_request(0, 0, 3, [(4.0, 4.0, 10.0)], max_delay=100.0)
         profile, trace = pgra_run([request], graph6, context, small_config())
-        solo = best_response(request, StrategyProfile.empty([request], context), graph6, small_config().placement)
+        solo = best_response(request, StrategyProfile.empty([request], context), graph6, small_config())
         assert profile.strategies[0] == solo
         assert trace.iterations <= 2
 
@@ -145,7 +146,7 @@ class TestPotentialIdentity:
             paths = graph6.candidate_sd_paths(request.source, request.destination, 8)
             path = paths[int(rng.integers(len(paths)))]
             view = ContextView.build(graph6, profile, exclude=rid)
-            alt = viterbi_place(request, path, view, graph6, config.placement)
+            alt = viterbi_place(request, path, view, graph6, config)
             if alt is None:
                 alt = Strategy.unallocated(rid)
             worst = max(worst, potential_identity_check(profile, rid, alt))

@@ -405,6 +405,11 @@ class TestCli:
             ('{"k_max": "a"}', "'k_max'"),
             ('{"ranges": 5}', "'ranges'"),
             ('{"beam_width": 2.5}', "'beam_width'"),
+            ('{"ranges": {"cpu": ["a", 3]}}', "ranges.cpu"),
+            ('{"ranges": {"cpu": [5]}}', "ranges.cpu"),
+            ('{"ranges": {"cpu": [2.5, 3]}}', "ranges.cpu"),
+            ('{"ranges": {"cpu": [true, 3]}}', "ranges.cpu"),
+            ('{"requests_per_slot": [true, 3]}', "requests_per_slot"),
         ],
     )
     def test_mistyped_config_value_is_a_usage_error_naming_the_key(self, text, key, tmp_path, capsys, monkeypatch):
@@ -477,7 +482,7 @@ class TestOutputDigest:
     digest unchanged; a deliberate behaviour change updates it and says so.
     """
 
-    DIGEST = "2422751c1b221f797089189e983808dda1795ccb03dad90c17a5134bd25b3e9a"
+    DIGEST = "4e43e91fc284398ddd626a669a04ed33914584d737b5a34998a10893252750b8"
     SEEDS = {"pgra": (0,), "viterbi": (0, 1), "greedy": (0, 1, 2, 3)}
 
     def _texts(self):
@@ -502,7 +507,12 @@ class TestOutputDigest:
         yield SimulationConfig(beam_width=None, idle_charge="per_vnf", requests_per_slot=(2, 3)).to_json()
         graph = SimulationConfig().build_graph()
         yield repr(graph.nodes) + repr(graph.links)
-        yield repr(generate_requests(5, graph, rng_seed=3, d=4))
+        yield repr(
+            [
+                (r.id, r.source, r.destination, r.vnfs, r.bandwidths, r.max_delay, r.arrival_slot, r.duration_slots)
+                for r in generate_requests(5, graph, rng_seed=3, d=4)
+            ]
+        )
 
     def test_digest_is_pinned(self):
         digest = hashlib.sha256()

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from satchain import placement
 from satchain.costing import ContextView, Strategy, StrategyProfile, Weights, check_feasibility
 from satchain.energy import Mode, ServerState
-from satchain.game import GameConfig, pgra_run
+from satchain.game import pgra_run
 from satchain.harness import SimulationConfig
-from satchain.placement import PlacementConfig, best_response, greedy_place, viterbi_place
+from satchain.placement import best_response, greedy_place, viterbi_place
 from satchain.topology import Link, NetworkGraph, SatelliteNode
 from satchain.workload import generate_requests
 
@@ -67,8 +67,8 @@ def drawn_game(data):
         )
         for rid in range(data.draw(st.integers(2, 5)))
     ]
-    placement_config = PlacementConfig(num_paths=data.draw(st.integers(1, 4)), beam_width=data.draw(st.integers(1, 4)))
-    return requests, graph, context, GameConfig(placement=placement_config)
+    config = SimulationConfig(num_paths=data.draw(st.integers(1, 4)), beam_width=data.draw(st.integers(1, 4)))
+    return requests, graph, context, config
 
 
 def independent_best_response(request, profile, graph, config):
@@ -112,7 +112,7 @@ class TestViterbiPlace:
         request = make_request(0, 4, 4, [], max_delay=10.0)
         profile = empty_profile(graph6, context, request)
         path = graph6.candidate_sd_paths(4, 4, 1)[0]
-        strategy = viterbi_place(request, path, fresh_view(graph6, profile, request), graph6, PlacementConfig())
+        strategy = viterbi_place(request, path, fresh_view(graph6, profile, request), graph6, SimulationConfig())
         assert strategy is not None
         assert strategy.hosts == (4, 4)
         assert strategy.routes[0].nodes == (4,)
@@ -126,7 +126,7 @@ class TestViterbiPlace:
         context = idle_context(graph)
         request = make_request(0, 0, 0, [(4.0, 4.0, 10.0)], max_delay=50.0)
         profile = empty_profile(graph, context, request)
-        config = PlacementConfig(num_paths=2, beam_width=4)
+        config = SimulationConfig(num_paths=2, beam_width=4)
         view = fresh_view(graph, profile, request)
         zero_hop, out_and_back = graph.candidate_sd_paths(0, 0, 2)
         assert viterbi_place(request, zero_hop, view, graph, config) is None
@@ -136,7 +136,7 @@ class TestViterbiPlace:
 
     def test_unlimited_beam_matches_exhaustive_search(self):
         rng = np.random.default_rng(77)
-        config = PlacementConfig(num_paths=2, beam_width=None)
+        config = SimulationConfig(num_paths=2, beam_width=None)
         checked = 0
         for _ in range(400):
             graph, _, request, view = random_micro_instance(rng)
@@ -159,7 +159,7 @@ class TestViterbiPlace:
         # tight link headroom, so that ranked routes get rejected
         view.free_bw = [float(data.draw(st.integers(10, 100))) for _ in graph.links]
         d = data.draw(st.integers(1, 4))
-        config = PlacementConfig(num_paths=d, beam_width=None)
+        config = SimulationConfig(num_paths=d, beam_width=None)
         for path in graph.candidate_sd_paths(request.source, request.destination, d):
             expected = enumerate_best_placement(request, path, view, graph, d, Weights())
             got = viterbi_place(request, path, view, graph, config)
@@ -201,12 +201,12 @@ class TestViterbiPlace:
             elif name in kinds:
                 setattr(shifted, name, [flag != data.draw(flip) for flag in getattr(view, name)])
         for request in requests:
-            for path in graph.candidate_sd_paths(request.source, request.destination, config.placement.num_paths):
+            for path in graph.candidate_sd_paths(request.source, request.destination, config.num_paths):
                 certificate = placement.Certificate()
-                got = viterbi_place(request, path, view, graph, config.placement, certificate)
+                got = viterbi_place(request, path, view, graph, config, certificate)
                 certificate.seal(view)
                 if certificate.holds(shifted):
-                    assert viterbi_place(request, path, shifted, graph, config.placement) == got
+                    assert viterbi_place(request, path, shifted, graph, config) == got
 
     def test_certificate_replays_the_kernels_rounding(self):
         # at free 0.499999999, 0.499999999 - 0.1 rounds below 0.4 - 1e-9, so the kernel's test
@@ -216,10 +216,10 @@ class TestViterbiPlace:
         view = fresh_view(graph, empty_profile(graph, idle_context(graph), request), request)
         path = graph.candidate_sd_paths(0, 0, 1)[0]
         certificate = placement.Certificate()
-        assert viterbi_place(request, path, view, graph, PlacementConfig(), certificate) is not None
+        assert viterbi_place(request, path, view, graph, SimulationConfig(), certificate) is not None
         certificate.seal(view)
         view.free_cpu = [0.499999999]
-        assert viterbi_place(request, path, view, graph, PlacementConfig()) is None
+        assert viterbi_place(request, path, view, graph, SimulationConfig()) is None
         assert not certificate.holds(view)
 
     def test_second_route_when_first_lacks_link_headroom(self):
@@ -233,7 +233,7 @@ class TestViterbiPlace:
         request = make_request(0, 0, 0, [(4.0, 4.0, 10.0)], edge_bw=10.0, max_delay=100.0)
         view = fresh_view(graph, empty_profile(graph, idle_context(graph), request), request)
         path = next(p for p in graph.candidate_sd_paths(0, 0, 3) if 2 in p.nodes)
-        strategy = viterbi_place(request, path, view, graph, PlacementConfig(num_paths=2, beam_width=4))
+        strategy = viterbi_place(request, path, view, graph, SimulationConfig(num_paths=2, beam_width=4))
         assert [r.nodes for r in graph.k_shortest_paths(2, 0, 2)] == [(2, 1, 0), (2, 3, 0)]
         assert strategy.hosts == (0, 2, 0)
         assert [r.nodes for r in strategy.routes] == [(0, 1, 2), (2, 3, 0)]
@@ -242,7 +242,7 @@ class TestViterbiPlace:
         request = make_request(0, 0, 5, [(4.0, 4.0, 10.0)] * 3, max_delay=500.0)
         view = fresh_view(graph6, empty_profile(graph6, idle_context(graph6), request), request)
         path = graph6.candidate_sd_paths(0, 5, 8)[-1]
-        config = PlacementConfig(num_paths=8, beam_width=2)
+        config = SimulationConfig(num_paths=8, beam_width=2)
         expected = viterbi_place(request, path, view, graph6, config)
         built = []
         beam_class = placement._Beam
@@ -257,7 +257,7 @@ class TestViterbiPlace:
             path = graph.candidate_sd_paths(request.source, request.destination, 2)[-1]
             payoffs = []
             for beam in (1, 2, 4, 8):
-                placed = viterbi_place(request, path, view, graph, PlacementConfig(2, beam))
+                placed = viterbi_place(request, path, view, graph, SimulationConfig(num_paths=2, beam_width=beam))
                 payoffs.append(-1.0 if placed is None else placed.cost.payoff)
             assert payoffs == sorted(payoffs)
 
@@ -267,7 +267,7 @@ class TestViterbiPlace:
         profile = empty_profile(graph6, context, request)
         bad_path = graph6.k_shortest_paths(1, 5, 1)[0]
         with pytest.raises(ValueError):
-            viterbi_place(request, bad_path, fresh_view(graph6, profile, request), graph6, PlacementConfig())
+            viterbi_place(request, bad_path, fresh_view(graph6, profile, request), graph6, SimulationConfig())
 
 
 class TestBestResponse:
@@ -275,7 +275,7 @@ class TestBestResponse:
         context = idle_context(graph6)
         request = make_request(0, 0, 5, [(4.0, 4.0, 10.0)], max_delay=100.0)
         profile = empty_profile(graph6, context, request)
-        config = PlacementConfig(num_paths=1, beam_width=4)
+        config = SimulationConfig(num_paths=1, beam_width=4)
         via_best = best_response(request, profile, graph6, config)
         path = graph6.candidate_sd_paths(0, 5, 1)[0]
         direct = viterbi_place(request, path, fresh_view(graph6, profile, request), graph6, config)
@@ -289,8 +289,8 @@ class TestBestResponse:
         context.server_states[2] = ServerState(Mode.OFF_AVAILABLE, off_since=-1)
         request = make_request(0, 0, 2, [(4.0, 4.0, 10.0)], max_delay=100.0, duration=1)
         profile = empty_profile(graph, context, request)
-        narrow = best_response(request, profile, graph, PlacementConfig(num_paths=1, beam_width=8))
-        wide = best_response(request, profile, graph, PlacementConfig(num_paths=2, beam_width=8))
+        narrow = best_response(request, profile, graph, SimulationConfig(num_paths=1, beam_width=8))
+        wide = best_response(request, profile, graph, SimulationConfig(num_paths=2, beam_width=8))
         assert narrow.hosts[1] in (0, 2)
         assert wide.hosts[1] == 1
         assert wide.cost.payoff > narrow.cost.payoff
@@ -300,14 +300,14 @@ class TestBestResponse:
         context = idle_context(graph)
         request = make_request(0, 0, 1, [(4.0, 4.0, 10.0)], max_delay=100.0)
         profile = empty_profile(graph, context, request)
-        assert best_response(request, profile, graph, PlacementConfig(2, 4)) is None
+        assert best_response(request, profile, graph, SimulationConfig(num_paths=2, beam_width=4)) is None
 
     def test_returned_strategy_is_feasible_with_others(self, graph6):
         rng = np.random.default_rng(31)
         context = idle_context(graph6)
         requests = generate_requests(6, graph6, rng_seed=64, d=4)
         profile = StrategyProfile.empty(requests, context)
-        config = PlacementConfig(num_paths=4, beam_width=4)
+        config = SimulationConfig(num_paths=4, beam_width=4)
         for request in requests:
             strategy = best_response(request, profile, graph6, config)
             if strategy is None:
@@ -319,7 +319,7 @@ class TestBestResponse:
     @given(st.data())
     def test_shared_table_matches_independent_corridor_runs_on_drawn_games(self, data):
         requests, graph, context, config = drawn_game(data)
-        assert_best_responses_match_independent_runs(requests, graph, context, config.placement)
+        assert_best_responses_match_independent_runs(requests, graph, context, config)
 
     @pytest.mark.parametrize("nodes, seed", [(9, 1), (12, 2), (15, 3)])
     def test_shared_table_matches_independent_corridor_runs_on_constellations(self, nodes, seed):
@@ -327,13 +327,13 @@ class TestBestResponse:
         config = SimulationConfig().with_nodes(nodes)
         graph = config.build_graph()
         requests = generate_requests(16, graph, config.ranges, seed, d=config.num_paths)
-        assert_best_responses_match_independent_runs(requests, graph, idle_context(graph), config.placement_config())
+        assert_best_responses_match_independent_runs(requests, graph, idle_context(graph), config)
 
     def test_deterministic(self, graph6):
         context = idle_context(graph6)
         requests = generate_requests(4, graph6, rng_seed=11, d=8)
         profile = StrategyProfile.empty(requests, context)
-        config = PlacementConfig()
+        config = SimulationConfig()
         first = best_response(requests[0], profile, graph6, config)
         second = best_response(requests[0], profile, graph6, config)
         assert first == second
@@ -345,12 +345,12 @@ class TestGreedyPlace:
         context = idle_context(graph6)
         filler = make_request(9, 0, 0, [(110.0, 4.0, 10.0)], max_delay=100.0, duration=2)
         profile = StrategyProfile.empty([filler], context)
-        strategy = best_response(filler, profile, graph6, PlacementConfig(1, 1))
+        strategy = best_response(filler, profile, graph6, SimulationConfig(num_paths=1, beam_width=1))
         profile.strategies[9] = strategy
         request = make_request(0, 0, 0, [(8.0, 8.0, 10.0)], max_delay=100.0, duration=2)
         profile.requests[request.id] = request
         profile.strategies[request.id] = Strategy.unallocated(0)
-        placed = greedy_place(request, profile, graph6, PlacementConfig(8, 4))
+        placed = greedy_place(request, profile, graph6, SimulationConfig(num_paths=8, beam_width=4))
         assert placed.hosts[1] == 2
 
     def test_equal_cost_tie_breaks_toward_fewer_hops(self):
@@ -362,7 +362,7 @@ class TestGreedyPlace:
         )
         request = make_request(0, 0, 0, [(4.0, 4.0, 10.0)], max_delay=100.0)
         profile = empty_profile(graph, idle_context(graph), request)
-        config = PlacementConfig(num_paths=4, beam_width=4, weights=Weights(0.0, 0.5, 0.5))
+        config = SimulationConfig(num_paths=4, beam_width=4, weights=Weights(0.0, 0.5, 0.5))
         placed = greedy_place(request, profile, graph, config)
         assert placed.hosts == (0, 2, 0)
 
@@ -371,7 +371,7 @@ class TestGreedyPlace:
         for _ in range(25):
             graph, context, request, _ = random_micro_instance(rng)
             profile = empty_profile(graph, context, request)
-            config = PlacementConfig(num_paths=2, beam_width=None)
+            config = SimulationConfig(num_paths=2, beam_width=None)
             beam = best_response(request, profile, graph, config)
             greedy = greedy_place(request, profile, graph, config)
             if greedy is None:
@@ -384,13 +384,13 @@ class TestGreedyPlace:
         context = idle_context(graph)
         request = make_request(0, 0, 1, [(4.0, 4.0, 10.0)], max_delay=100.0)
         profile = empty_profile(graph, context, request)
-        assert greedy_place(request, profile, graph, PlacementConfig(2, 4)) is None
+        assert greedy_place(request, profile, graph, SimulationConfig(num_paths=2, beam_width=4)) is None
 
     def test_greedy_strategy_is_feasible(self, graph6):
         context = idle_context(graph6)
         requests = generate_requests(6, graph6, rng_seed=13, d=4)
         profile = StrategyProfile.empty(requests, context)
-        config = PlacementConfig(num_paths=4, beam_width=4)
+        config = SimulationConfig(num_paths=4, beam_width=4)
         for request in requests:
             strategy = greedy_place(request, profile, graph6, config)
             if strategy is not None:

@@ -235,6 +235,13 @@ class TestDeterminismAndSerialization:
         with pytest.raises(ValueError):
             NetworkGraph(nodes, [])
 
+    def test_rejects_link_not_at_its_index(self):
+        # path search indexes links by position: this list would rank 0-2 at 5 ms and 0-1-2 at 11 ms
+        nodes = [SatelliteNode(i, 0, i, dict(TABLE_CAPACITY), TABLE_POWER) for i in range(3)]
+        links = [Link(2, 0, 1, 100.0, 1.0, 1.0), Link(0, 1, 2, 100.0, 5.0, 5.0), Link(1, 0, 2, 100.0, 10.0, 10.0)]
+        with pytest.raises(ValueError, match=r"link 2 \(0-1\) is at position 0"):
+            NetworkGraph(nodes, links)
+
     def test_rejects_zero_capacity(self):
         with pytest.raises(ValueError):
             SatelliteNode(id=0, plane=0, slot_in_plane=0, capacity={"cpu": 0.0}, power=TABLE_POWER)

@@ -39,8 +39,8 @@ class TestGeneration:
                 assert 4 <= vnf.cpu <= 8
                 assert 4 <= vnf.memory <= 16
                 assert 10 <= vnf.exec_time <= 30
-            for edge in r.edges:
-                assert 10 <= edge.bandwidth <= 30
+            for bandwidth in r.bandwidths:
+                assert 10 <= bandwidth <= 30
             assert 1 <= r.duration_slots <= 4
             assert 0 <= r.source < 6 and 0 <= r.destination < 6
         assert 7.2 <= sum(counts) / len(counts) <= 7.8
@@ -48,7 +48,7 @@ class TestGeneration:
     def test_generated_requests_satisfy_invariants(self, graph6):
         for r in generate_requests(50, graph6, rng_seed=3):
             assert r.vnfs[0].is_pseudo and r.vnfs[-1].is_pseudo
-            assert len(r.edges) == len(r.vnfs) - 1
+            assert len(r.bandwidths) == len(r.vnfs) - 1
             assert r.max_delay >= r.total_exec_time
             assert r.max_delay == acceptable_delay(r.source, r.destination, r.total_exec_time, graph6, 8)
 
@@ -97,4 +97,6 @@ class TestValidation:
     def test_ranges_validate(self):
         with pytest.raises(ValueError):
             WorkloadRanges(vnf_count=(5, 4))
+        with pytest.raises(ValueError, match="ranges.cpu must be two ints"):
+            WorkloadRanges(cpu=(True, 3))
         assert WorkloadRanges().vnf_count == (5, 10)
