@@ -2,15 +2,15 @@
 # Build a few constellations, look at their wiring, and explore the ranked
 # candidate-path machinery that every placement decision sits on.
 
-from satchain import PowerParams, build_constellation
+from satchain import PowerParams, SatelliteNode, build_constellation
 
 POWER = PowerParams(p_idle=49.9, p_max=415.0, t_idle_max=3, t_off_min=1)
-CAPACITY = {"cpu": 112.0, "memory": 192.0}
+NODE = SatelliteNode(cpu=112.0, memory=192.0, power=POWER)  # every satellite repeats it
 
 # The reference setup: 3 orbital planes. With 2 satellites per plane, the
 # wrap-around ring links collapse into single links, so the graph has 9
 # undirected ISLs instead of a full degree-4 torus.
-graph = build_constellation(3, 2, 600.0, 400.0, CAPACITY, POWER, link_bandwidth=100.0)
+graph = build_constellation(3, 2, 600.0, 400.0, NODE, link_bandwidth=100.0)
 print(f"6-node constellation: {len(graph.links)} links, "
       f"total bandwidth {graph.total_bandwidth:.0f} Mbps")
 for link in graph.links:
@@ -18,9 +18,9 @@ for link in graph.links:
     print(f"  {link.u} -- {link.v}  {kind:11s} {link.distance:.0f} km  {link.delay:.4f} ms")
 
 # At 5 satellites per plane every node reaches exactly 4 neighbours.
-big = build_constellation(3, 5, 600.0, 400.0, CAPACITY, POWER, 100.0)
-degrees = {n.id: len(big._adj[n.id]) for n in big.nodes}
-print(f"\n15-node constellation: degrees {sorted(set(degrees.values()))}, {len(big.links)} links")
+big = build_constellation(3, 5, 600.0, 400.0, NODE, 100.0)
+degrees = {len(neighbours) for neighbours in big._adj}
+print(f"\n15-node constellation: degrees {sorted(degrees)}, {len(big.links)} links")
 
 # Candidate paths are the d shortest loopless routes, ranked by delay with
 # deterministic tie-breaking, so repeated runs see identical sets.

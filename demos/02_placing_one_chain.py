@@ -16,7 +16,7 @@ config = SimulationConfig()
 graph = config.build_graph()
 
 # All servers idle at the start of the slot.
-states = {n.id: ServerState(Mode.IDLE, idle_since=0) for n in graph.nodes}
+states = {i: ServerState(Mode.IDLE, idle_since=0) for i in range(len(graph.nodes))}
 context = SlotContext(slot=0, server_states=states, committed=[], idle_charge="once")
 
 request = generate_requests(1, graph, config.ranges, rng_seed=424, d=config.num_paths)[0]

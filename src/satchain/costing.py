@@ -53,16 +53,19 @@ class Strategy:
     request_id: int
     hosts: tuple
     routes: tuple
-    allocated: bool
     cost: CostBreakdown | None = None
 
     @classmethod
     def unallocated(cls, request_id: int) -> "Strategy":
-        return cls(request_id, (), (), False, None)
+        return cls(request_id, (), ())
+
+    @property
+    def allocated(self) -> bool:
+        return bool(self.hosts)
 
     @property
     def payoff(self) -> float:
-        return self.cost.payoff if self.allocated and self.cost is not None else 0.0
+        return self.cost.payoff if self.cost is not None else 0.0
 
 
 @dataclass(frozen=True)
@@ -79,7 +82,7 @@ class SlotContext:
     """Everything about the current slot that placement decisions read."""
 
     slot: int
-    server_states: dict  # node id -> ServerState
+    server_states: dict  # node -> ServerState
     committed: list = field(default_factory=list)  # CommittedPlacement, still running
     idle_charge: str = "once"  # or "per_vnf"
 
@@ -121,10 +124,10 @@ class ContextView:
         view = cls()
         ctx = profile.context
         n = len(graph.nodes)
-        view.free_cpu = [node.capacity["cpu"] for node in graph.nodes]
-        view.free_mem = [node.capacity["memory"] for node in graph.nodes]
+        view.free_cpu = [node.cpu for node in graph.nodes]
+        view.free_mem = [node.memory for node in graph.nodes]
         view.free_bw = [link.bandwidth for link in graph.links]
-        view.mode = [ctx.server_states[node.id].mode for node in graph.nodes]
+        view.mode = [ctx.server_states[i].mode for i in range(n)]
         view.serves_next = [False] * n
         view.idle_charged = [False] * n
         view.idle_charge = ctx.idle_charge
@@ -199,7 +202,7 @@ def energy_cost(strategy: Strategy, request: UserRequest, graph: NetworkGraph, v
             mode,
             serves,
             vnf.cpu,
-            node.capacity["cpu"],
+            node.cpu,
             node.power,
             idle_already_charged=already,
             idle_charge=view.idle_charge,
@@ -222,7 +225,7 @@ def evaluate_strategy(
     weights: Weights,
 ) -> CostBreakdown:
     """Canonical cost breakdown of a complete placement."""
-    probe = Strategy(request.id, hosts, routes, True, None)
+    probe = Strategy(request.id, hosts, routes)
     bw = bandwidth_cost(probe, request, graph)
     power = energy_cost(probe, request, graph, view)
     delay = delay_cost(probe, request)
@@ -258,9 +261,9 @@ def check_feasibility(profile: StrategyProfile, graph: NetworkGraph) -> list:
     """
     violations = []
     ctx = profile.context
-    cpu_used = {node.id: 0.0 for node in graph.nodes}
-    mem_used = {node.id: 0.0 for node in graph.nodes}
-    bw_used = {link.index: 0.0 for link in graph.links}
+    cpu_used = [0.0] * len(graph.nodes)
+    mem_used = [0.0] * len(graph.nodes)
+    bw_used = [0.0] * len(graph.links)
 
     def account(request: UserRequest, strategy: Strategy):
         for i, vnf in enumerate(request.vnfs):
@@ -306,14 +309,14 @@ def check_feasibility(profile: StrategyProfile, graph: NetworkGraph) -> list:
 
     for request, strategy in active:
         account(request, strategy)
-    for node in graph.nodes:
-        if cpu_used[node.id] > node.capacity["cpu"] + 1e-9:
-            violations.append(Violation("node_capacity", node.id, f"cpu {cpu_used[node.id]} over capacity"))
-        if mem_used[node.id] > node.capacity["memory"] + 1e-9:
-            violations.append(Violation("node_capacity", node.id, f"memory {mem_used[node.id]} over capacity"))
-    for link in graph.links:
-        if bw_used[link.index] > link.bandwidth + 1e-9:
-            violations.append(Violation("link_bandwidth", link.index, f"bandwidth {bw_used[link.index]} over capacity"))
+    for i, node in enumerate(graph.nodes):
+        if cpu_used[i] > node.cpu + 1e-9:
+            violations.append(Violation("node_capacity", i, f"cpu {cpu_used[i]} over capacity"))
+        if mem_used[i] > node.memory + 1e-9:
+            violations.append(Violation("node_capacity", i, f"memory {mem_used[i]} over capacity"))
+    for k, link in enumerate(graph.links):
+        if bw_used[k] > link.bandwidth + 1e-9:
+            violations.append(Violation("link_bandwidth", k, f"bandwidth {bw_used[k]} over capacity"))
 
     for node_id in sorted(ctx.server_states):
         state = ctx.server_states[node_id]

@@ -29,7 +29,7 @@ from .costing import (
 from .energy import PowerParams, ServerFleet
 from .game import pgra_run
 from .placement import best_response, greedy_place
-from .topology import NetworkGraph, build_constellation
+from .topology import NetworkGraph, SatelliteNode, build_constellation
 from .workload import WorkloadRanges, check_bounds, generate_requests
 
 ALGORITHMS = ("pgra", "viterbi", "greedy")
@@ -75,25 +75,21 @@ class SimulationConfig:
             raise ValueError("beam_width must be >= 1 (or None for unlimited)")
         if self.k_max < 1:
             raise ValueError("k_max must be >= 1")
-        self.power_params()  # PowerParams checks the power and timing fields
+        self.node()  # SatelliteNode and PowerParams check the node, power and timing fields
 
     def with_nodes(self, total: int) -> "SimulationConfig":
         if total % self.planes:
             raise ValueError(f"{total} satellites do not divide into {self.planes} planes")
         return replace(self, sats_per_plane=total // self.planes)
 
-    def power_params(self) -> PowerParams:
-        return PowerParams(self.p_idle, self.p_max, self.t_idle_max, self.t_off_min)
+    def node(self) -> SatelliteNode:
+        """The satellite that every node of the constellation repeats."""
+        power = PowerParams(self.p_idle, self.p_max, self.t_idle_max, self.t_off_min)
+        return SatelliteNode(self.cpu, self.memory, power)
 
     def build_graph(self) -> NetworkGraph:
         return build_constellation(
-            self.planes,
-            self.sats_per_plane,
-            self.intra_plane_km,
-            self.inter_plane_km,
-            {"cpu": self.cpu, "memory": self.memory},
-            self.power_params(),
-            self.link_bandwidth,
+            self.planes, self.sats_per_plane, self.intra_plane_km, self.inter_plane_km, self.node(), self.link_bandwidth
         )
 
     def to_json(self) -> str:
@@ -207,6 +203,7 @@ def run_batch(config: SimulationConfig, algorithm: str, seed: int, graph: Networ
     """One batch of requests, one allocation algorithm: slot 0 of an on-line run."""
     _check_seed(seed)
     sim = OnlineSimulation(config, graph)
+    config = sim.config
     requests = generate_requests(config.requests, sim.graph, config.ranges, seed, slot=0, d=config.num_paths)
     return sim.step(0, requests, algorithm, seed)
 
@@ -222,10 +219,10 @@ class OnlineSimulation:
     """
 
     def __init__(self, config: SimulationConfig, graph: NetworkGraph | None = None):
-        self.config = config
-        self.graph = graph if graph is not None else config.build_graph()
-        self.fleet = ServerFleet({n.id: n.power for n in self.graph.nodes})
-        self._capacity_cpu = {n.id: n.capacity["cpu"] for n in self.graph.nodes}
+        self.config = replace(config)  # checks again any field assigned after construction
+        self.graph = graph if graph is not None else self.config.build_graph()
+        self.fleet = ServerFleet(dict(enumerate(node.power for node in self.graph.nodes)))
+        self._capacity_cpu = dict(enumerate(node.cpu for node in self.graph.nodes))
         self.running: list = []
         self.next_id = 0
 
@@ -265,6 +262,7 @@ def run_online(config: SimulationConfig, algorithm: str, seed: int, graph: Netwo
     """Time-slotted run; per slot, a fresh uniform batch of arrivals."""
     _check_seed(seed)
     sim = OnlineSimulation(config, graph)
+    config = sim.config
     lo, hi = config.requests_per_slot
     results = []
     for slot in range(config.slots):
@@ -313,7 +311,8 @@ def derive_seed(master: int, *parts: int) -> int:
 
 def check_sweep(config: SimulationConfig, d_levels, b_levels, m_values, repetitions: int) -> None:
     """Raise ValueError naming the field when a sweep level or the repetition
-    count is out of range; each level goes through the config's validation."""
+    count is out of range, or when the beam levels mix None with widths; each
+    level goes through the config's validation."""
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     for name, levels in (("num_paths", d_levels), ("beam_width", b_levels), ("requests", m_values)):
@@ -321,6 +320,8 @@ def check_sweep(config: SimulationConfig, d_levels, b_levels, m_values, repetiti
             raise ValueError(f"no {name} levels to sweep")
         for level in levels:
             replace(config, **{name: level})
+    if None in b_levels and any(level is not None for level in b_levels):  # the effects sort cannot order them
+        raise ValueError("beam_width levels cannot mix None (unlimited) with widths")
 
 
 def run_taguchi(

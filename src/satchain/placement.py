@@ -303,7 +303,7 @@ def _beam_search(
     best = beam[0]
     if best.strategy is None:
         cost = evaluate_strategy(request, best.hosts, best.routes, graph, view, weights)
-        best.strategy = Strategy(request.id, best.hosts, best.routes, True, cost)
+        best.strategy = Strategy(request.id, best.hosts, best.routes, cost)
     return best.strategy
 
 

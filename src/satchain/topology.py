@@ -41,20 +41,22 @@ def link_delay(distance_km: float) -> float:
 
 @dataclass(frozen=True)
 class SatelliteNode:
-    id: int
-    plane: int
-    slot_in_plane: int
-    capacity: dict  # resource kind -> amount, e.g. {"cpu": 112, "memory": 192}
+    """One edge-server satellite; node ``i`` of a graph is ``graph.nodes[i]``."""
+
+    cpu: float  # vCPU
+    memory: float
     power: PowerParams
 
     def __post_init__(self):
-        if any(v <= 0 for v in self.capacity.values()):
-            raise ValueError("all capacities must be positive")
+        for name in ("cpu", "memory"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, not {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
 class Link:
-    index: int
+    """An undirected ISL between nodes ``u`` and ``v``; link ``k`` is ``graph.links[k]``."""
+
     u: int
     v: int
     bandwidth: float  # Mbps, shared by both directions
@@ -89,40 +91,36 @@ class Path:
 class NetworkGraph:
     """Immutable-after-build constellation graph that owns its ranked routes.
 
-    Node ids must be the contiguous range 0..N-1, and each link must sit at
-    position ``link.index`` of the link list.  On the first use of a path
-    count ``d``, `route_matrix` fills ``routes[a][b]`` for every pair with the
-    tuple of top-``d`` `Path`s (None for a disconnected pair); shortest delays to
-    each target and same-node walk sets are cached too.  The graph is
-    otherwise read-only, so sharing across workers is safe as long as cache
-    population stays single-writer.
+    A node or link is its position in ``nodes`` / ``links``, and link
+    endpoints name node positions.  On the first use of a path count ``d``,
+    `route_matrix` fills ``routes[a][b]`` for every pair with the tuple of
+    top-``d`` `Path`s (None for a disconnected pair); shortest delays to each
+    target and same-node walk sets are cached too.  The graph is otherwise
+    read-only, so sharing across workers is safe as long as cache population
+    stays single-writer.
     """
 
     def __init__(self, nodes: list, links: list):
-        ids = [n.id for n in nodes]
-        if sorted(ids) != list(range(len(nodes))):
-            raise ValueError("node ids must be 0..N-1")
-        self.nodes = sorted(nodes, key=lambda n: n.id)
+        self.nodes = list(nodes)
         self.links = list(links)
+        n = len(self.nodes)
         pairs: set = set()
-        self._adj: dict = {n.id: [] for n in self.nodes}
-        for position, link in enumerate(self.links):
-            if link.index != position:  # path search and the kernel index links by position
-                raise ValueError(f"link {link.index} ({link.u}-{link.v}) is at position {position}, not at its index")
+        self._adj: list = [[] for _ in range(n)]  # node -> [(neighbour, link)]
+        for index, link in enumerate(self.links):
+            if not (0 <= link.u < n and 0 <= link.v < n):
+                raise ValueError(f"link {index} ({link.u}-{link.v}) names a node outside 0..{n - 1}")
             key = (min(link.u, link.v), max(link.u, link.v))
             if key in pairs:
-                raise ValueError(f"duplicate link {key}")
-            if link.u not in self._adj or link.v not in self._adj:
-                raise ValueError("link endpoint is not a node")
+                raise ValueError(f"link {index} duplicates link {key}")
             pairs.add(key)
-            self._adj[link.u].append((link.v, link.index))
-            self._adj[link.v].append((link.u, link.index))
+            self._adj[link.u].append((link.v, index))
+            self._adj[link.v].append((link.u, index))
         self.total_bandwidth = sum(l.bandwidth for l in self.links)
-        self.total_p_max = sum(n.power.p_max for n in self.nodes)
-        # per-node power constants, indexed by node id, that the placement kernel reads
-        self.p_idle = [n.power.p_idle for n in self.nodes]
-        self.p_max = [n.power.p_max for n in self.nodes]
-        self.power_coeff = [(n.power.p_max - n.power.p_idle) / n.capacity["cpu"] for n in self.nodes]
+        self.total_p_max = sum(node.power.p_max for node in self.nodes)
+        # per-node power constants, indexed by node, that the placement kernel reads
+        self.p_idle = [node.power.p_idle for node in self.nodes]
+        self.p_max = [node.power.p_max for node in self.nodes]
+        self.power_coeff = [(node.power.p_max - node.power.p_idle) / node.cpu for node in self.nodes]
         self._routes: dict = {}  # d -> route matrix
         self._to_target: dict = {}  # t -> shortest delay from every node to t
         self._walks: dict = {}  # (s, d) -> same-node candidate walks
@@ -211,6 +209,11 @@ class NetworkGraph:
             self._routes[d] = routes
         return routes
 
+    def _check_nodes(self, *nodes: int) -> None:
+        for node in nodes:  # a list index would quietly take -1
+            if not 0 <= node < len(self.nodes):
+                raise ValueError(f"node {node} is not in 0..{len(self.nodes) - 1}")
+
     def k_shortest_paths(self, s: int, t: int, d: int) -> tuple:
         """Up to ``d`` loopless shortest paths from s to t.
 
@@ -218,8 +221,7 @@ class NetworkGraph:
         the result is the single zero-hop path.  Raises `NoPath` when the
         endpoints are disconnected.
         """
-        if s not in self._adj or t not in self._adj:
-            raise ValueError("unknown node id")
+        self._check_nodes(s, t)
         result = self.route_matrix(d)[s][t]
         if result is None:
             raise NoPath(f"no route from {s} to {t}")
@@ -239,8 +241,7 @@ class NetworkGraph:
         cached = self._walks.get(key)
         if cached is not None:
             return cached
-        if s not in self._adj:
-            raise ValueError("unknown node id")
+        self._check_nodes(s)
         # the first of the top d paths is the shortest one
         legs = sorted(
             (entry[0].total_delay, v, entry[0])
@@ -263,30 +264,19 @@ def build_constellation(
     sats_per_plane: int,
     intra_plane_km: float,
     inter_plane_km: float,
-    capacity: dict,
-    power: PowerParams,
+    node: SatelliteNode,
     link_bandwidth: float,
 ) -> NetworkGraph:
-    """Torus-wired constellation of ``planes x sats_per_plane`` satellites.
+    """Torus-wired constellation of ``planes x sats_per_plane`` copies of ``node``.
 
-    Each satellite links to its ring neighbours within the plane
-    (``intra_plane_km``) and to the same slot in the adjacent planes
-    (``inter_plane_km``).  Wrap-around duplicates from 2-wide rings collapse
-    to a single undirected link, so small configurations have degree < 4.
+    Satellite ``s`` of plane ``p`` is node ``p * sats_per_plane + s``.  Each
+    links to its ring neighbours within the plane (``intra_plane_km``) and to
+    the same slot in the adjacent planes (``inter_plane_km``).  Wrap-around
+    duplicates from 2-wide rings collapse to a single undirected link, so
+    small configurations have degree < 4.
     """
     if planes < 1 or sats_per_plane < 1:
         raise ValueError("need at least one plane and one satellite per plane")
-    nodes = [
-        SatelliteNode(
-            id=p * sats_per_plane + s,
-            plane=p,
-            slot_in_plane=s,
-            capacity=dict(capacity),
-            power=power,
-        )
-        for p in range(planes)
-        for s in range(sats_per_plane)
-    ]
     edges: dict = {}
     for p in range(planes):
         for s in range(sats_per_plane):
@@ -299,8 +289,5 @@ def build_constellation(
                 column = ((p + 1) % planes) * sats_per_plane + s
                 if column != me:
                     edges.setdefault((min(me, column), max(me, column)), inter_plane_km)
-    links = [
-        Link(index=i, u=u, v=v, bandwidth=link_bandwidth, delay=link_delay(dist), distance=dist)
-        for i, ((u, v), dist) in enumerate(sorted(edges.items()))
-    ]
-    return NetworkGraph(nodes, links)
+    links = [Link(u, v, link_bandwidth, link_delay(dist), dist) for (u, v), dist in sorted(edges.items())]
+    return NetworkGraph([node] * (planes * sats_per_plane), links)

@@ -6,29 +6,25 @@ from satchain.topology import Link, NetworkGraph, SatelliteNode, build_constella
 from satchain.workload import PSEUDO_VNF, UserRequest, VnfSpec
 
 TABLE_POWER = PowerParams(p_idle=49.9, p_max=415.0, t_idle_max=3, t_off_min=1)
-TABLE_CAPACITY = {"cpu": 112.0, "memory": 192.0}
+TABLE_NODE = SatelliteNode(cpu=112.0, memory=192.0, power=TABLE_POWER)
 
 
-def make_graph(n_nodes, edges, bandwidth=100.0, capacity=None, capacities=None, power=TABLE_POWER):
-    """Hand-built graph; edges are (u, v, delay_ms) triples."""
-    nodes = []
-    for i in range(n_nodes):
-        cap = capacities[i] if capacities else dict(capacity or TABLE_CAPACITY)
-        nodes.append(SatelliteNode(id=i, plane=0, slot_in_plane=i, capacity=dict(cap), power=power))
-    links = [
-        Link(index=k, u=u, v=v, bandwidth=bandwidth, delay=delay, distance=delay)
-        for k, (u, v, delay) in enumerate(edges)
-    ]
+def make_graph(n_nodes, edges, bandwidth=100.0, cpu=TABLE_NODE.cpu, memory=TABLE_NODE.memory, nodes=None):
+    """Hand-built graph; edges are (u, v, delay_ms) triples.  Each of the
+    ``n_nodes`` nodes has ``cpu`` and ``memory`` unless ``nodes`` lists them."""
+    if nodes is None:
+        nodes = [SatelliteNode(cpu, memory, TABLE_POWER)] * n_nodes
+    links = [Link(u, v, bandwidth, delay, distance=delay) for u, v, delay in edges]
     return NetworkGraph(nodes, links)
 
 
-def ring_graph(n, delay=1.0, bandwidth=100.0, capacity=None):
+def ring_graph(n, delay=1.0, bandwidth=100.0):
     edges = [(i, (i + 1) % n, delay) for i in range(n)]
-    return make_graph(n, edges, bandwidth=bandwidth, capacity=capacity)
+    return make_graph(n, edges, bandwidth=bandwidth)
 
 
 def idle_context(graph, slot=0, idle_charge="once"):
-    states = {node.id: ServerState(Mode.IDLE, idle_since=slot) for node in graph.nodes}
+    states = {i: ServerState(Mode.IDLE, idle_since=slot) for i in range(len(graph.nodes))}
     return SlotContext(slot, states, [], idle_charge)
 
 
@@ -78,15 +74,16 @@ def random_micro_instance(rng, nodes=(3, 5)):
     graph = make_graph(
         n,
         [(i, (i + 1) % n, delays[i]) for i in range(n if n > 2 else 1)],
-        capacity={"cpu": float(rng.integers(8, 20)), "memory": 64.0},
+        cpu=float(rng.integers(8, 20)),
+        memory=64.0,
     )
     context = idle_context(graph, slot=2, idle_charge=("once", "per_vnf")[int(rng.integers(2))])
-    for node in graph.nodes:
+    for i in range(n):
         mode = MODES[int(rng.integers(len(MODES)))]
         if mode is Mode.IDLE:
-            context.server_states[node.id] = ServerState(mode, idle_since=1)
+            context.server_states[i] = ServerState(mode, idle_since=1)
         else:
-            context.server_states[node.id] = ServerState(mode, off_since=0 if mode is Mode.OFF_AVAILABLE else 2)
+            context.server_states[i] = ServerState(mode, off_since=0 if mode is Mode.OFF_AVAILABLE else 2)
     n_vnfs = int(rng.integers(1, 4))
     specs = [
         (float(rng.integers(2, 6)), float(rng.integers(1, 5)), float(rng.integers(5, 15)))
@@ -111,7 +108,7 @@ def random_micro_instance(rng, nodes=(3, 5)):
 
 @pytest.fixture
 def graph6():
-    return build_constellation(3, 2, 600.0, 400.0, dict(TABLE_CAPACITY), TABLE_POWER, 100.0)
+    return build_constellation(3, 2, 600.0, 400.0, TABLE_NODE, 100.0)
 
 
 @pytest.fixture

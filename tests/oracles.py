@@ -133,5 +133,5 @@ def enumerate_request_strategies(request, profile, graph, d, weights):
             continue
         seen.add(corridor)
         for cost, hosts, routes in enumerate_corridor_placements(request, corridor, view, graph, d, weights):
-            strategies.append(Strategy(request.id, hosts, routes, True, cost))
+            strategies.append(Strategy(request.id, hosts, routes, cost))
     return strategies

@@ -156,7 +156,7 @@ def test_10_spot_arithmetic():
     energy_ok = abs(strategy.cost.power - expected_energy) <= 1e-9
 
     ring12 = ring_graph(12, delay=1.0)
-    probe = Strategy(0, (0, 2), (make_path(ring12, [0, 1, 2]),), True, None)
+    probe = Strategy(0, (0, 2), (make_path(ring12, [0, 1, 2]),))
     bw = bandwidth_cost(probe, make_request(1, 0, 2, [], edge_bw=10.0), ring12)
     bw_ok = abs(bw - 1.0 / 60.0) <= 1e-12
     report(

@@ -45,7 +45,7 @@ def build_strategy(request, graph, context, hosts, route_nodes, weights=Weights(
     profile = profile_of(graph, context)
     view = ContextView.build(graph, profile)
     cost = evaluate_strategy(request, tuple(hosts), routes, graph, view, weights)
-    return Strategy(request.id, tuple(hosts), routes, True, cost)
+    return Strategy(request.id, tuple(hosts), routes, cost)
 
 
 @pytest.fixture
@@ -56,27 +56,25 @@ def ring12():
 class TestBandwidthCost:
     def test_one_edge_two_hops(self, ring12):
         request = make_request(0, 0, 2, [], edge_bw=10.0)
-        strategy = Strategy(0, (0, 2), (make_path(ring12, [0, 1, 2]),), True, None)
+        strategy = Strategy(0, (0, 2), (make_path(ring12, [0, 1, 2]),))
         assert bandwidth_cost(strategy, request, ring12) == pytest.approx(20.0 / 1200.0, rel=1e-12)
         assert bandwidth_cost(strategy, request, ring12) == pytest.approx(1.0 / 60.0, abs=1e-12)
 
     def test_fully_co_located_chain_is_free(self, ring12):
         request = make_request(0, 4, 4, [(4, 4, 10.0), (4, 4, 10.0)], edge_bw=25.0)
-        strategy = Strategy(0, (4, 4, 4, 4), tuple(zero_hop(4) for _ in range(3)), True, None)
+        strategy = Strategy(0, (4, 4, 4, 4), tuple(zero_hop(4) for _ in range(3)))
         assert bandwidth_cost(strategy, request, ring12) == 0.0
 
     def test_two_edges_with_different_routes(self, ring12):
         request = make_request(0, 0, 4, [(4, 4, 10.0)], edge_bw=[10.0, 20.0])
-        strategy = Strategy(
-            0, (0, 1, 4), (make_path(ring12, [0, 1]), make_path(ring12, [1, 2, 3, 4])), True, None
-        )
+        strategy = Strategy(0, (0, 1, 4), (make_path(ring12, [0, 1]), make_path(ring12, [1, 2, 3, 4])))
         assert bandwidth_cost(strategy, request, ring12) == pytest.approx(70.0 / 1200.0, rel=1e-12)
 
     def test_out_and_back_charges_the_link_twice(self, ring12):
         walk = ring12.candidate_sd_paths(0, 0, 2)[1]
         assert walk.hop_count == 2 and len(set(walk.links)) == 1
         request = make_request(0, 0, 0, [], edge_bw=10.0)
-        strategy = Strategy(0, (0, 0), (walk,), True, None)
+        strategy = Strategy(0, (0, 0), (walk,))
         assert bandwidth_cost(strategy, request, ring12) == pytest.approx(20.0 / 1200.0, rel=1e-12)
 
 
@@ -123,18 +121,18 @@ class TestDelayCost:
     def test_two_vnfs_zero_hop(self):
         graph = ring_graph(4)
         request = make_request(0, 1, 1, [(4, 4, 10.0), (4, 4, 10.0)], max_delay=24.0)
-        strategy = Strategy(0, (1, 1, 1, 1), tuple(zero_hop(1) for _ in range(3)), True, None)
+        strategy = Strategy(0, (1, 1, 1, 1), tuple(zero_hop(1) for _ in range(3)))
         assert delay_cost(strategy, request) == pytest.approx(20.0 / 24.0, rel=1e-12)
 
     def test_budget_saturating_route_hits_exactly_one(self):
         graph = make_graph(2, [(0, 1, link_delay(600.0))])
         request = make_request(0, 0, 1, [(4, 4, 10.0)], max_delay=10.0 + link_delay(600.0))
-        strategy = Strategy(0, (0, 0, 1), (zero_hop(0), make_path(graph, [0, 1])), True, None)
+        strategy = Strategy(0, (0, 0, 1), (zero_hop(0), make_path(graph, [0, 1])))
         assert delay_cost(strategy, request) == 1.0
 
     def test_pseudo_only_chain(self):
         request = make_request(0, 3, 3, [], max_delay=5.0)
-        strategy = Strategy(0, (3, 3), (zero_hop(3),), True, None)
+        strategy = Strategy(0, (3, 3), (zero_hop(3),))
         assert delay_cost(strategy, request) == 0.0
 
 
@@ -160,7 +158,7 @@ class TestNetworkPayoff:
     def _stub(self, request_id, payoff):
         from satchain.costing import CostBreakdown
 
-        return Strategy(request_id, (0, 0), (zero_hop(0),), True, CostBreakdown(0, 0, 0, payoff))
+        return Strategy(request_id, (0, 0), (zero_hop(0),), CostBreakdown(0, 0, 0, payoff))
 
     def test_empty_profile(self, graph6):
         profile = profile_of(graph6, idle_context(graph6))
@@ -191,9 +189,7 @@ class TestContextView:
     def test_subtracts_committed_and_current_usage(self, graph6):
         context = idle_context(graph6)
         old = make_request(10, 0, 1, [(20.0, 30.0, 10.0)], edge_bw=40.0, duration=3)
-        old_strategy = Strategy(
-            10, (0, 1, 1), (make_path(graph6, [0, 1]), zero_hop(1)), True, None
-        )
+        old_strategy = Strategy(10, (0, 1, 1), (make_path(graph6, [0, 1]), zero_hop(1)))
         context.committed.append(CommittedPlacement(old, old_strategy, 2))
         new = make_request(11, 0, 0, [(8.0, 8.0, 10.0)])
         new_strategy = build_strategy(new, graph6, context, (0, 2, 0), [(0, 2), (2, 0)])
@@ -232,7 +228,7 @@ class TestCheckFeasibility:
         request = make_request(0, 0, 0, [(4.0, 1.0, 10.0)] * 29, max_delay=1e6)
         hosts = tuple([0] * 31)
         routes = tuple(zero_hop(0) for _ in range(30))
-        strategy = Strategy(0, hosts, routes, True, None)
+        strategy = Strategy(0, hosts, routes)
         profile = profile_of(graph6, context, (request, strategy))
         violations = check_feasibility(profile, graph6)
         assert any(v.constraint == "node_capacity" and v.entity == 0 for v in violations)
@@ -241,7 +237,7 @@ class TestCheckFeasibility:
         graph = make_graph(2, [(0, 1, 3.0)])
         context = idle_context(graph)
         request = make_request(0, 0, 1, [(4.0, 4.0, 10.0)], max_delay=12.0)
-        strategy = Strategy(0, (0, 0, 1), (zero_hop(0), make_path(graph, [0, 1])), True, None)
+        strategy = Strategy(0, (0, 0, 1), (zero_hop(0), make_path(graph, [0, 1])))
         profile = profile_of(graph, context, (request, strategy))
         violations = check_feasibility(profile, graph)
         assert [v.constraint for v in violations] == ["delay_budget"]
@@ -252,7 +248,7 @@ class TestCheckFeasibility:
         pairs = []
         for rid in (0, 1):
             request = make_request(rid, 0, 1, [], edge_bw=60.0, max_delay=10.0)
-            pairs.append((request, Strategy(rid, (0, 1), (make_path(graph, [0, 1]),), True, None)))
+            pairs.append((request, Strategy(rid, (0, 1), (make_path(graph, [0, 1]),))))
         profile = profile_of(graph, context, *pairs)
         violations = check_feasibility(profile, graph)
         assert any(v.constraint == "link_bandwidth" for v in violations)
@@ -261,7 +257,7 @@ class TestCheckFeasibility:
         context = idle_context(graph6)
         context.server_states[0] = ServerState(Mode.OFF_UNAVAILABLE, off_since=0)
         request = make_request(0, 0, 0, [(4.0, 4.0, 10.0)], max_delay=50.0)
-        strategy = Strategy(0, (0, 0, 0), (zero_hop(0), zero_hop(0)), True, None)
+        strategy = Strategy(0, (0, 0, 0), (zero_hop(0), zero_hop(0)))
         profile = profile_of(graph6, context, (request, strategy))
         violations = check_feasibility(profile, graph6)
         assert any(v.constraint == "server_unavailable" for v in violations)
@@ -278,10 +274,10 @@ class TestCheckFeasibility:
     def test_committed_requests_hold_their_resources(self, graph6):
         context = idle_context(graph6)
         old = make_request(1, 0, 0, [(110.0, 4.0, 10.0)], max_delay=100.0)
-        old_strategy = Strategy(1, (0, 0, 0), (zero_hop(0), zero_hop(0)), True, None)
+        old_strategy = Strategy(1, (0, 0, 0), (zero_hop(0), zero_hop(0)))
         context.committed.append(CommittedPlacement(old, old_strategy, 5))
         new = make_request(2, 0, 0, [(4.0, 4.0, 10.0)], max_delay=100.0)
-        new_strategy = Strategy(2, (0, 0, 0), (zero_hop(0), zero_hop(0)), True, None)
+        new_strategy = Strategy(2, (0, 0, 0), (zero_hop(0), zero_hop(0)))
         profile = profile_of(graph6, context, (new, new_strategy))
         violations = check_feasibility(profile, graph6)
         assert any(v.constraint == "node_capacity" for v in violations)
@@ -332,7 +328,7 @@ class TestEvaluateConsistency:
         profile = profile_of(graph6, context)
         view = ContextView.build(graph6, profile)
         cost = evaluate_strategy(request, hosts, routes, graph6, view, thirds)
-        strategy = Strategy(0, hosts, routes, True, cost)
+        strategy = Strategy(0, hosts, routes, cost)
         assert cost.bw == bandwidth_cost(strategy, request, graph6)
         assert cost.delay == delay_cost(strategy, request)
         assert cost.power == energy_cost(strategy, request, graph6, view)

@@ -49,7 +49,7 @@ class TestPgraRun:
         assert trace.iterations <= 2
 
     def test_two_requests_contending_for_one_node(self):
-        graph = make_graph(2, [(0, 1, 1.0)], capacity={"cpu": 100.0, "memory": 100.0})
+        graph = make_graph(2, [(0, 1, 1.0)], cpu=100.0, memory=100.0)
         context = idle_context(graph)
         requests = [
             make_request(0, 0, 0, [(60.0, 10.0, 10.0)], max_delay=100.0, duration=2),

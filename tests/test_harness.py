@@ -84,7 +84,7 @@ class TestOnlineSimulation:
         # request 0 fills the node for slots 4-5, so an arrival in slot 5 is
         # rejected and the same-sized arrival in slot 6 fits again
         config = self._tiny_config()
-        graph = make_graph(1, [], capacity={"cpu": 20.0, "memory": 64.0})
+        graph = make_graph(1, [], cpu=20.0, memory=64.0)
         sim = OnlineSimulation(replace(config, planes=1, sats_per_plane=1), graph)
         for slot in (0, 1, 2, 3):
             sim.step(slot, [], "pgra", seed=0)
@@ -104,7 +104,7 @@ class TestOnlineSimulation:
 
     def test_server_states_follow_occupancy(self):
         config = self._tiny_config()
-        graph = make_graph(1, [], capacity={"cpu": 20.0, "memory": 64.0})
+        graph = make_graph(1, [], cpu=20.0, memory=64.0)
         sim = OnlineSimulation(replace(config, sats_per_plane=1), graph)
         request = make_request(0, 0, 0, [(8.0, 8.0, 10.0)], max_delay=50.0, duration=1, arrival_slot=0)
         sim.step(0, [request], "pgra", seed=0)
@@ -121,7 +121,7 @@ class TestOnlineSimulation:
 
     def test_restart_recorded_as_setup(self):
         config = self._tiny_config()
-        graph = make_graph(1, [], capacity={"cpu": 20.0, "memory": 64.0})
+        graph = make_graph(1, [], cpu=20.0, memory=64.0)
         sim = OnlineSimulation(replace(config, sats_per_plane=1), graph)
         for slot in range(5):
             sim.step(slot, [], "pgra", seed=0)
@@ -172,6 +172,16 @@ class TestTaguchi:
         parsed = json.loads(result.to_json_text())
         assert [SweepRow(**row) for row in parsed["rows"]] == result.rows
 
+    def test_mixed_unlimited_and_finite_beam_levels_fail_before_any_cell(self, monkeypatch):
+        monkeypatch.setattr("satchain.harness.run_batch", lambda *args, **kwargs: pytest.fail("a cell ran"))
+        with pytest.raises(ValueError, match="beam_width levels cannot mix None"):
+            run_taguchi(SimulationConfig(), d_levels=(1,), b_levels=(1, None), m_values=(3,), repetitions=1)
+
+    def test_unlimited_beam_alone_sweeps(self):
+        result = run_taguchi(SimulationConfig(), d_levels=(1,), b_levels=(None,), m_values=(3,), repetitions=1)
+        assert [row.beam for row in result.rows] == [None]
+        assert json.loads(result.to_json_text())["effects"]["beam"] == {"null": {"3": result.rows[0].mean_phi}}
+
 
 @pytest.mark.parametrize(
     "run",
@@ -185,6 +195,22 @@ def test_negative_seed_fails_before_any_draw(run, monkeypatch):
     monkeypatch.setattr("satchain.harness.generate_requests", lambda *args, **kwargs: pytest.fail("a draw ran"))
     with pytest.raises(ValueError, match="seed must be >= 0, not -1"):
         run(SimulationConfig(requests=1, slots=1))
+
+
+@pytest.mark.parametrize(
+    "key, run",
+    [
+        pytest.param("beam_width", lambda config: run_batch(config, "viterbi", seed=0), id="run_batch-beam_width"),
+        pytest.param("k_max", lambda config: run_batch(config, "pgra", seed=0), id="run_batch-k_max"),
+        pytest.param("slots", lambda config: run_online(config, "pgra", seed=0), id="run_online-slots"),
+    ],
+)
+def test_field_assigned_after_construction_fails_when_the_run_starts(key, run, monkeypatch):
+    monkeypatch.setattr("satchain.harness.generate_requests", lambda *args, **kwargs: pytest.fail("a draw ran"))
+    config = SimulationConfig(requests=3)
+    setattr(config, key, 0)
+    with pytest.raises(ValueError, match=f"{key} must be >= 1"):
+        run(config)
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -276,7 +302,16 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("num_paths", 0), ("beam_width", 0), ("k_max", 0), ("p_idle", 500.0), ("t_idle_max", 0), ("t_off_min", 0)],
+        [
+            ("num_paths", 0),
+            ("beam_width", 0),
+            ("k_max", 0),
+            ("cpu", 0.0),
+            ("memory", 0.0),
+            ("p_idle", 500.0),
+            ("t_idle_max", 0),
+            ("t_off_min", 0),
+        ],
     )
     def test_bad_derived_value_fails_at_construction_naming_the_key(self, key, value):
         with pytest.raises(ValueError, match=key):
@@ -482,7 +517,7 @@ class TestOutputDigest:
     digest unchanged; a deliberate behaviour change updates it and says so.
     """
 
-    DIGEST = "4e43e91fc284398ddd626a669a04ed33914584d737b5a34998a10893252750b8"
+    DIGEST = "98906cdd228824a93e5473689b330be6cb9b21a610e6c8711f106d87abd2b035"
     SEEDS = {"pgra": (0,), "viterbi": (0, 1), "greedy": (0, 1, 2, 3)}
 
     def _texts(self):
@@ -506,7 +541,9 @@ class TestOutputDigest:
         yield SimulationConfig().to_json()
         yield SimulationConfig(beam_width=None, idle_charge="per_vnf", requests_per_slot=(2, 3)).to_json()
         graph = SimulationConfig().build_graph()
-        yield repr(graph.nodes) + repr(graph.links)
+        yield repr([(n.cpu, n.memory, n.power) for n in graph.nodes]) + repr(
+            [(l.u, l.v, l.bandwidth, l.delay, l.distance) for l in graph.links]
+        )
         yield repr(
             [
                 (r.id, r.source, r.destination, r.vnfs, r.bandwidths, r.max_delay, r.arrival_slot, r.duration_slots)

@@ -40,21 +40,19 @@ def drawn_game(data):
     """
     tenths = lambda lo, hi: data.draw(st.integers(lo, hi)) / 10
     n = data.draw(st.integers(2, 7))
-    nodes = [
-        SatelliteNode(i, 0, i, {"cpu": tenths(50, 150), "memory": tenths(50, 150)}, TABLE_POWER) for i in range(n)
-    ]
+    nodes = [SatelliteNode(tenths(50, 150), tenths(50, 150), TABLE_POWER) for _ in range(n)]
     links = [
-        Link(i, i, (i + 1) % n, tenths(50, 400), float(data.draw(st.integers(1, 4))), 1.0)
+        Link(i, (i + 1) % n, tenths(50, 400), float(data.draw(st.integers(1, 4))), 1.0)
         for i in range(n if n > 2 else 1)
     ]
     graph = NetworkGraph(nodes, links)
     context = idle_context(graph, slot=2, idle_charge=data.draw(st.sampled_from(("once", "per_vnf"))))
-    for node in graph.nodes:
+    for i in range(n):
         mode = data.draw(st.sampled_from(MODES))
         if mode is Mode.IDLE:
-            context.server_states[node.id] = ServerState(mode, idle_since=1)
+            context.server_states[i] = ServerState(mode, idle_since=1)
         else:
-            context.server_states[node.id] = ServerState(mode, off_since=0 if mode is Mode.OFF_AVAILABLE else 2)
+            context.server_states[i] = ServerState(mode, off_since=0 if mode is Mode.OFF_AVAILABLE else 2)
     requests = [
         make_request(
             rid,
@@ -121,7 +119,7 @@ class TestViterbiPlace:
     def test_full_source_pushes_vnf_to_neighbour(self):
         # two satellites; the endpoint node is too small for the single VNF
         graph = make_graph(
-            2, [(0, 1, 1.5)], capacities=[{"cpu": 2.0, "memory": 64.0}, {"cpu": 112.0, "memory": 64.0}]
+            2, [(0, 1, 1.5)], nodes=[SatelliteNode(2.0, 64.0, TABLE_POWER), SatelliteNode(112.0, 64.0, TABLE_POWER)]
         )
         context = idle_context(graph)
         request = make_request(0, 0, 0, [(4.0, 4.0, 10.0)], max_delay=50.0)
@@ -211,7 +209,7 @@ class TestViterbiPlace:
     def test_certificate_replays_the_kernels_rounding(self):
         # at free 0.499999999, 0.499999999 - 0.1 rounds below 0.4 - 1e-9, so the kernel's test
         # blocks the second VNF, where the algebraically equal free < 0.4 + 0.1 - 1e-9 would not
-        graph = make_graph(1, [], capacity={"cpu": 1.0, "memory": 64.0})
+        graph = make_graph(1, [], cpu=1.0, memory=64.0)
         request = make_request(0, 0, 0, [(0.1, 1.0, 1.0), (0.4, 1.0, 1.0)], max_delay=100.0)
         view = fresh_view(graph, empty_profile(graph, idle_context(graph), request), request)
         path = graph.candidate_sd_paths(0, 0, 1)[0]
@@ -225,10 +223,10 @@ class TestViterbiPlace:
     def test_second_route_when_first_lacks_link_headroom(self):
         # only node 2 can host; going out on 0-1-2 leaves 5 of 15 units on those
         # links, so the way back skips the shorter 2-1-0 and takes 2-3-0
-        small, big = {"cpu": 2.0, "memory": 64.0}, {"cpu": 112.0, "memory": 64.0}
+        small, big = SatelliteNode(2.0, 64.0, TABLE_POWER), SatelliteNode(112.0, 64.0, TABLE_POWER)
         graph = make_graph(
             4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 2.0), (3, 0, 2.0)], bandwidth=15.0,
-            capacities=[small, small, big, small],
+            nodes=[small, small, big, small],
         )
         request = make_request(0, 0, 0, [(4.0, 4.0, 10.0)], edge_bw=10.0, max_delay=100.0)
         view = fresh_view(graph, empty_profile(graph, idle_context(graph), request), request)
@@ -296,7 +294,7 @@ class TestBestResponse:
         assert wide.cost.payoff > narrow.cost.payoff
 
     def test_saturated_network_returns_none(self):
-        graph = make_graph(2, [(0, 1, 1.0)], capacity={"cpu": 2.0, "memory": 2.0})
+        graph = make_graph(2, [(0, 1, 1.0)], cpu=2.0, memory=2.0)
         context = idle_context(graph)
         request = make_request(0, 0, 1, [(4.0, 4.0, 10.0)], max_delay=100.0)
         profile = empty_profile(graph, context, request)
@@ -356,9 +354,9 @@ class TestGreedyPlace:
     def test_equal_cost_tie_breaks_toward_fewer_hops(self):
         # with no bandwidth weight, node 1 (two 1 ms hops away) and node 2 (one
         # 2 ms hop away) cost the same; the beam order takes the shorter route
-        small, big = {"cpu": 2.0, "memory": 64.0}, {"cpu": 112.0, "memory": 64.0}
+        small, big = SatelliteNode(2.0, 64.0, TABLE_POWER), SatelliteNode(112.0, 64.0, TABLE_POWER)
         graph = make_graph(
-            4, [(0, 3, 1.0), (3, 1, 1.0), (0, 2, 2.0)], capacities=[small, big, big, small]
+            4, [(0, 3, 1.0), (3, 1, 1.0), (0, 2, 2.0)], nodes=[small, big, big, small]
         )
         request = make_request(0, 0, 0, [(4.0, 4.0, 10.0)], max_delay=100.0)
         profile = empty_profile(graph, idle_context(graph), request)
@@ -380,7 +378,7 @@ class TestGreedyPlace:
             assert greedy.cost.payoff <= beam.cost.payoff + 1e-12
 
     def test_saturated_network_returns_none(self):
-        graph = make_graph(2, [(0, 1, 1.0)], capacity={"cpu": 2.0, "memory": 2.0})
+        graph = make_graph(2, [(0, 1, 1.0)], cpu=2.0, memory=2.0)
         context = idle_context(graph)
         request = make_request(0, 0, 1, [(4.0, 4.0, 10.0)], max_delay=100.0)
         profile = empty_profile(graph, context, request)

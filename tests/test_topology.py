@@ -21,32 +21,32 @@ from satchain.topology import (
     link_delay,
 )
 
-from conftest import TABLE_CAPACITY, TABLE_POWER, make_graph, ring_graph
+from conftest import TABLE_NODE, TABLE_POWER, make_graph, ring_graph
 from oracles import all_simple_paths, make_path
 
 
 def degrees(graph):
-    return {node.id: len(graph._adj[node.id]) for node in graph.nodes}
+    return [len(neighbours) for neighbours in graph._adj]
 
 
 class TestBuildConstellation:
     def test_three_planes_two_per_plane_merges_duplicates(self, graph6):
         assert len(graph6.nodes) == 6
         assert len(graph6.links) == 9
-        assert all(deg == 3 for deg in degrees(graph6).values())
+        assert all(deg == 3 for deg in degrees(graph6))
         intra = [l for l in graph6.links if l.distance == 600.0]
         inter = [l for l in graph6.links if l.distance == 400.0]
         assert len(intra) == 3 and len(inter) == 6
         assert {(l.u, l.v) for l in intra} == {(0, 1), (2, 3), (4, 5)}
 
     def test_three_planes_five_per_plane_full_torus(self):
-        graph = build_constellation(3, 5, 600.0, 400.0, dict(TABLE_CAPACITY), TABLE_POWER, 100.0)
+        graph = build_constellation(3, 5, 600.0, 400.0, TABLE_NODE, 100.0)
         assert len(graph.nodes) == 15
         assert len(graph.links) == 30
-        assert all(deg == 4 for deg in degrees(graph).values())
+        assert all(deg == 4 for deg in degrees(graph))
 
     def test_single_satellite(self):
-        graph = build_constellation(1, 1, 600.0, 400.0, dict(TABLE_CAPACITY), TABLE_POWER, 100.0)
+        graph = build_constellation(1, 1, 600.0, 400.0, TABLE_NODE, 100.0)
         assert len(graph.nodes) == 1
         assert graph.links == []
 
@@ -224,28 +224,53 @@ class TestCandidateSourceDestinationPaths:
 
 class TestDeterminismAndSerialization:
     def test_identical_builds_yield_identical_path_sets(self):
-        a = build_constellation(3, 3, 600.0, 400.0, dict(TABLE_CAPACITY), TABLE_POWER, 100.0)
-        b = build_constellation(3, 3, 600.0, 400.0, dict(TABLE_CAPACITY), TABLE_POWER, 100.0)
+        a = build_constellation(3, 3, 600.0, 400.0, TABLE_NODE, 100.0)
+        b = build_constellation(3, 3, 600.0, 400.0, TABLE_NODE, 100.0)
         for s in range(9):
             for t in range(9):
                 assert a.k_shortest_paths(s, t, 4) == b.k_shortest_paths(s, t, 4)
 
-    def test_rejects_bad_node_ids(self):
-        nodes = [SatelliteNode(id=1, plane=0, slot_in_plane=0, capacity=dict(TABLE_CAPACITY), power=TABLE_POWER)]
-        with pytest.raises(ValueError):
-            NetworkGraph(nodes, [])
+    def test_links_are_ranked_by_their_position(self):
+        # path search reads a link's delay at its position in the list
+        links = [Link(0, 1, 100.0, 1.0, 1.0), Link(1, 2, 100.0, 5.0, 5.0), Link(0, 2, 100.0, 10.0, 10.0)]
+        graph = NetworkGraph([TABLE_NODE] * 3, links)
+        result = graph.k_shortest_paths(0, 2, 2)
+        assert [(p.nodes, p.links, p.total_delay) for p in result] == [((0, 1, 2), (0, 1), 6.0), ((0, 2), (2,), 10.0)]
 
-    def test_rejects_link_not_at_its_index(self):
-        # path search indexes links by position: this list would rank 0-2 at 5 ms and 0-1-2 at 11 ms
-        nodes = [SatelliteNode(i, 0, i, dict(TABLE_CAPACITY), TABLE_POWER) for i in range(3)]
-        links = [Link(2, 0, 1, 100.0, 1.0, 1.0), Link(0, 1, 2, 100.0, 5.0, 5.0), Link(1, 0, 2, 100.0, 10.0, 10.0)]
-        with pytest.raises(ValueError, match=r"link 2 \(0-1\) is at position 0"):
-            NetworkGraph(nodes, links)
 
-    def test_rejects_zero_capacity(self):
-        with pytest.raises(ValueError):
-            SatelliteNode(id=0, plane=0, slot_in_plane=0, capacity={"cpu": 0.0}, power=TABLE_POWER)
+class TestGraphChecks:
+    @pytest.mark.parametrize("node", (-1, 3))
+    def test_rejects_link_to_a_node_outside_the_graph(self, node):
+        links = [Link(0, 1, 100.0, 1.0, 1.0), Link(1, node, 100.0, 1.0, 1.0)]
+        with pytest.raises(ValueError, match=rf"link 1 \(1-{node}\) names a node outside 0..2"):
+            NetworkGraph([TABLE_NODE] * 3, links)
+
+    def test_rejects_duplicate_link(self):
+        links = [Link(0, 1, 100.0, 1.0, 1.0), Link(1, 0, 100.0, 2.0, 2.0)]
+        with pytest.raises(ValueError, match=r"link 1 duplicates link \(0, 1\)"):
+            NetworkGraph([TABLE_NODE] * 2, links)
+
+    @pytest.mark.parametrize("node", (-1, 4))
+    def test_path_queries_reject_a_node_outside_the_graph(self, node):
+        graph = ring_graph(4)
+        message = rf"node {node} is not in 0..3"
+        with pytest.raises(ValueError, match=message):
+            graph.k_shortest_paths(node, 1, 2)
+        with pytest.raises(ValueError, match=message):
+            graph.k_shortest_paths(1, node, 2)
+        with pytest.raises(ValueError, match=message):
+            graph.candidate_sd_paths(node, 1, 2)
+        with pytest.raises(ValueError, match=message):
+            graph.candidate_sd_paths(node, node, 2)
+
+    def test_rejects_zero_cpu(self):
+        with pytest.raises(ValueError, match="cpu must be positive"):
+            SatelliteNode(cpu=0.0, memory=192.0, power=TABLE_POWER)
+
+    def test_rejects_zero_memory(self):
+        with pytest.raises(ValueError, match="memory must be positive"):
+            SatelliteNode(cpu=112.0, memory=0.0, power=TABLE_POWER)
 
     def test_rejects_self_loop_link(self):
         with pytest.raises(ValueError):
-            Link(index=0, u=1, v=1, bandwidth=100.0, delay=1.0, distance=1.0)
+            Link(u=1, v=1, bandwidth=100.0, delay=1.0, distance=1.0)
