@@ -10,15 +10,17 @@ raises the network payoff and the dynamics terminate at a profile where no
 request can improve by changing only its own strategy.
 
 Between iterations only the winner's strategy changes, so most best
-responses would repeat themselves.  `pgra_run` keeps a memo of each
-request's best response with one `placement.Certificate` for all of its
-corridor searches: the outcome of the capacity and bandwidth tests they made
-and the server flags their power rule read.  A best response whose
-certificate holds for the fresh view is not computed again; its stored
-result is what the kernel would return, because the certificate replays the
-kernel's own comparisons.  Server modes, the graph, the requests and the
-config are fixed within one call and the memo dies with it, so no result
-crosses slots.  `is_nash` runs uncached, so it checks the cached dynamics
+responses would repeat themselves.  `pgra_run` keeps a memo entry per
+request: its `ContextView`, built on its first best response and brought up
+to date on each later one by giving back and taking only the strategies that
+changed since, and one `placement.Certificate` for all of its corridor
+searches: the outcome of the capacity and bandwidth tests they made and the
+server flags their power rule read.  A best response whose certificate holds
+for the caught-up view is not computed again; its stored result is what the
+kernel would return, because the certificate replays the kernel's own
+comparisons.  Server modes, the graph, the requests and the config are fixed
+within one call and the memo dies with it, so no view or result crosses
+slots.  `is_nash` runs uncached, so it checks the cached dynamics
 independently.
 """
 
@@ -96,7 +98,7 @@ def pgra_run(
     profile = StrategyProfile.empty(requests, context)
     trace = GameTrace()
     order = sorted(profile.requests)
-    memo: dict = {}  # certified best responses; modes, graph and config are fixed for this call
+    memo: dict = {}  # kept views and certified best responses; modes, graph and config are fixed for this call
     for k in range(config.k_max):
         phi_before = network_payoff(profile)
         best_improvement = 0.0

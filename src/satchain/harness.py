@@ -30,7 +30,7 @@ from .energy import PowerParams, ServerFleet
 from .game import pgra_run
 from .placement import best_response, greedy_place
 from .topology import NetworkGraph, SatelliteNode, build_constellation
-from .workload import WorkloadRanges, check_bounds, generate_requests
+from .workload import WorkloadRanges, check_bounds, check_types, generate_requests, has_type
 
 ALGORITHMS = ("pgra", "viterbi", "greedy")
 
@@ -62,6 +62,7 @@ class SimulationConfig:
     validate_each_step: bool = False
 
     def __post_init__(self):
+        check_types(self)
         if self.idle_charge not in ("once", "per_vnf"):
             raise ValueError("idle_charge must be 'once' or 'per_vnf'")
         if self.requests < 0:  # a zero-request batch still emits its one row
@@ -102,10 +103,6 @@ class SimulationConfig:
         return _from_section(cls, json.loads(text), "the top level")
 
 
-# JSON types per field annotation; a bool, which is an int to isinstance, passes only a "bool" field
-_JSON_TYPES = {"int": int, "float": (int, float), "int | None": (int, type(None)), "str": str, "bool": bool, "tuple": list}
-
-
 def _from_section(kind, doc, section: str):
     """Build dataclass `kind` from one JSON object; lists become tuples and objects sections."""
     if not isinstance(doc, dict):
@@ -119,7 +116,7 @@ def _from_section(kind, doc, section: str):
         field = by_name[key]
         if is_dataclass(field.default):
             value = _from_section(type(field.default), value, f"section {key!r}")
-        elif not isinstance(value, _JSON_TYPES[field.type]) or (isinstance(value, bool) and field.type != "bool"):
+        elif not has_type(value, field.type):
             raise ValueError(f"config key {key!r} in {section} must be {field.type}, not {json.dumps(value)}")
         values[key] = tuple(value) if isinstance(value, list) else value
     return kind(**values)

@@ -59,6 +59,7 @@ class _Beam:
 
 
 _UNTESTED_PASS, _UNTESTED_BLOCK = -math.inf, math.inf
+_UNTRIED = object()  # a node with no cached expansion from a state
 
 
 class Certificate:
@@ -70,7 +71,7 @@ class Certificate:
     flags of nodes where its power rule depends on them (a single-slot
     request on an off-available or idle server).  All else it reads (server
     modes, the graph, the request, the config, the delay test) is fixed
-    within one `pgra_run`, which owns the memo of certificates, so none
+    within one `pgra_run`, which owns the memo that keeps certificates, so none
     crosses slots.
 
     While the kernel runs, `cpu`, `mem` and `bw` map each need to two lists
@@ -151,7 +152,7 @@ def _beam_search(
     vnfs = request.vnfs
     bandwidths = request.bandwidths
     n_nodes, n_links = len(graph.nodes), len(graph.links)
-    weights = config.weights
+    w_bw, w_power, w_delay = config.weights.bw, config.weights.power, config.weights.delay
     inv_bw_total = 1.0 / graph.total_bandwidth if graph.total_bandwidth else 0.0
     inv_pw_total = 1.0 / graph.total_p_max
     inv_delay = 1.0 / request.max_delay
@@ -159,7 +160,9 @@ def _beam_search(
     serves_self = request.duration_slots >= 2
     # idle ownership only matters for single-slot requests under once-only charging
     track_idle = view.idle_charge == "once" and not serves_self
+    per_vnf = view.idle_charge == "per_vnf"
     modes, free_cpu, free_mem, free_bw = view.mode, view.free_cpu, view.free_mem, view.free_bw
+    serves_next, idle_charged = view.serves_next, view.idle_charged
     p_idle, p_max, power_coeff = graph.p_idle, graph.p_max, graph.power_coeff
     flagged = cpu_passed = cpu_blocked = mem_passed = mem_blocked = bw_passed = bw_blocked = None
     if certificate is not None:
@@ -178,48 +181,53 @@ def _beam_search(
     for stage in range(1, len(vnfs)):
         vnf = vnfs[stage]
         pseudo = vnf.is_pseudo
-        bandwidth = bandwidths[stage - 1]
-        exec_time = vnf.exec_time
+        cpu, bandwidth, exec_time = vnf.cpu, bandwidths[stage - 1], vnf.exec_time
+        # each test's right-hand side, as the certificate replays it
+        cpu_limit, mem_limit, bw_limit = cpu - 1e-9, vnf.memory - 1e-9, bandwidth - 1e-9
         candidates = (request.destination,) if stage == len(vnfs) - 1 else corridor
         if certificate is not None:
             bw_passed, bw_blocked = certificate.bounds(certificate.bw, bandwidth, n_links)
             if not pseudo:
-                cpu_passed, cpu_blocked = certificate.bounds(certificate.cpu, vnf.cpu, n_nodes)
+                cpu_passed, cpu_blocked = certificate.bounds(certificate.cpu, cpu, n_nodes)
                 mem_passed, mem_blocked = certificate.bounds(certificate.mem, vnf.memory, n_nodes)
         # (-payoff, hops, hosts so far, node) is the beam order and unique, so sort() stops there
         grown = []
         for state in beam:
             known = state.grown
             routes_from = routes[state.hosts[-1]]
+            hosts, hops_so_far, delay_so_far = state.hosts, state.hops, state.delay_ms
+            bw_so_far, power_so_far = state.bw_units, state.power_w
+            used_cpu, used_mem, used_bw, idle_paid = state.used_cpu, state.used_mem, state.used_bw, state.idle_paid
             for node_id in candidates:
-                if node_id in known:
-                    expansion = known[node_id]
+                expansion = known.get(node_id, _UNTRIED)
+                if expansion is not _UNTRIED:
                     if expansion is not None:
                         grown.append(expansion)
                     continue
                 known[node_id] = None
                 if not pseudo:
-                    if modes[node_id] is Mode.OFF_UNAVAILABLE:
+                    mode = modes[node_id]
+                    if mode is Mode.OFF_UNAVAILABLE:
                         continue
-                    used = state.used_cpu[node_id]
-                    if free_cpu[node_id] - used < vnf.cpu - 1e-9:
+                    used = used_cpu[node_id]
+                    if free_cpu[node_id] - used < cpu_limit:
                         if cpu_blocked is not None and used < cpu_blocked[node_id]:
                             cpu_blocked[node_id] = used
                         continue
-                    used = state.used_mem[node_id]
-                    if free_mem[node_id] - used < vnf.memory - 1e-9:
+                    used = used_mem[node_id]
+                    if free_mem[node_id] - used < mem_limit:
                         if mem_blocked is not None and used < mem_blocked[node_id]:
                             mem_blocked[node_id] = used
                         continue
                 # the first ranked route that fits the link headroom and the delay budget
-                used_bw, route = state.used_bw, None
+                route = None
                 for candidate in routes_from[node_id]:
-                    new_delay = state.delay_ms + candidate.total_delay + exec_time
+                    new_delay = delay_so_far + candidate.total_delay + exec_time
                     if new_delay > max_delay:
                         break
                     for link_index in candidate.links:
                         used = used_bw[link_index]
-                        if free_bw[link_index] - used < bandwidth - 1e-9:
+                        if free_bw[link_index] - used < bw_limit:
                             if bw_blocked is not None and used < bw_blocked[link_index]:
                                 bw_blocked[link_index] = used
                             break
@@ -231,39 +239,36 @@ def _beam_search(
                 if route is None:
                     continue
                 route_hops = len(route.links)
-                bw_units = state.bw_units + bandwidth * route_hops
-                power_w = state.power_w
+                bw_units = bw_so_far + bandwidth * route_hops
+                power_w = power_so_far
                 pays_idle = False
                 if not pseudo:
                     # energy.vnf_power_attribution's rule, inline: a call here gives the same bytes but
                     # ran viterbi_place up to 1.13x slower (12 nodes, 2-vCPU Xeon).  The oracle test
                     # test_unlimited_beam_matches_exhaustive_search checks the two agree per server mode.
-                    mode = modes[node_id]
-                    serves = serves_self or view.serves_next[node_id]
-                    if flagged is not None and not serves_self and mode is not Mode.ON:
-                        flagged.add(node_id)
-                    if mode is Mode.OFF_AVAILABLE:
-                        if not serves:
-                            power_w += p_max[node_id]
-                    elif mode is Mode.IDLE and not serves:
-                        power_w += vnf.cpu * power_coeff[node_id]
-                        if view.idle_charge == "per_vnf":
-                            power_w += p_idle[node_id]
-                        elif not (view.idle_charged[node_id] or state.idle_paid[node_id]):
-                            power_w += p_idle[node_id]
-                            pays_idle = True
+                    if mode is Mode.ON:
+                        power_w += cpu * power_coeff[node_id]
                     else:
-                        power_w += vnf.cpu * power_coeff[node_id]
+                        serves = serves_self or serves_next[node_id]
+                        if flagged is not None and not serves_self:
+                            flagged.add(node_id)
+                        if mode is Mode.OFF_AVAILABLE:
+                            if not serves:
+                                power_w += p_max[node_id]
+                        else:  # idle: the baseline is due unless a later slot's service keeps the server on
+                            power_w += cpu * power_coeff[node_id]
+                            if not serves and (per_vnf or not (idle_charged[node_id] or idle_paid[node_id])):
+                                power_w += p_idle[node_id]
+                                pays_idle = not per_vnf
                 payoff = (
                     1.0
-                    - weights.bw * (bw_units * inv_bw_total)
-                    - weights.power * (power_w * inv_pw_total)
-                    - weights.delay * (new_delay * inv_delay)
+                    - w_bw * (bw_units * inv_bw_total)
+                    - w_power * (power_w * inv_pw_total)
+                    - w_delay * (new_delay * inv_delay)
                 )
                 # the parent is named by its hosts, not held, so the cache forms no reference cycle
-                hops = state.hops + route_hops
                 expansion = known[node_id] = (
-                    -payoff, hops, state.hosts, node_id, route, new_delay, bw_units, power_w, pays_idle
+                    -payoff, hops_so_far + route_hops, hosts, node_id, route, new_delay, bw_units, power_w, pays_idle
                 )
                 grown.append(expansion)
         if not grown:
@@ -284,7 +289,7 @@ def _beam_search(
                         if used_mem[node_id] > mem_passed[node_id]:
                             mem_passed[node_id] = used_mem[node_id]
                     used_cpu = list(used_cpu)
-                    used_cpu[node_id] += vnf.cpu
+                    used_cpu[node_id] += cpu
                     used_mem = list(used_mem)
                     used_mem[node_id] += vnf.memory
                     if pays_idle:
@@ -302,7 +307,7 @@ def _beam_search(
         beam = survivors
     best = beam[0]
     if best.strategy is None:
-        cost = evaluate_strategy(request, best.hosts, best.routes, graph, view, weights)
+        cost = evaluate_strategy(request, best.hosts, best.routes, graph, view, config.weights)
         best.strategy = Strategy(request.id, best.hosts, best.routes, cost)
     return best.strategy
 
@@ -327,6 +332,55 @@ def viterbi_place(
     return _beam_search(request, sorted(set(path.nodes)), view, graph, config, config.beam_width, certificate, table)
 
 
+class _Kept:
+    """A request's entry in the `best_response` memo: its view, the strategies
+    of ``profile.strategies`` that the view reflects, and the certified best
+    response of its last search.
+
+    The view catches up by itself: each other request whose strategy is not
+    the one it reflects gives that back and takes the new one.  This is exact
+    only when every capacity and load of the slot is a whole number and their
+    total stays below 2**53, so that every free value is an integer and any
+    order of additions gives the bits of a fresh build; otherwise a stale
+    view is built afresh.
+    """
+
+    __slots__ = ("view", "seen", "whole", "certificate", "best")
+
+    def __init__(self, graph: NetworkGraph, profile: StrategyProfile, request_id: int):
+        self.view = ContextView.build(graph, profile, exclude=request_id)
+        self.seen = dict(profile.strategies)
+        requests = [p.request for p in profile.context.committed] + list(profile.requests.values())
+        values = [
+            *(value for node in graph.nodes for value in (node.cpu, node.memory)),
+            *(link.bandwidth for link in graph.links),
+            *(value for r in requests for vnf in r.vnfs for value in (vnf.cpu, vnf.memory)),
+            *(bandwidth for r in requests for bandwidth in r.bandwidths),
+        ]
+        self.whole = all(float(value).is_integer() for value in values) and sum(values) < 2**53
+
+    def catch_up(self, graph: NetworkGraph, profile: StrategyProfile, request_id: int) -> None:
+        stale = False
+        for rid, strategy in profile.strategies.items():
+            old = self.seen[rid]
+            if strategy is old or rid == request_id:
+                continue
+            self.seen[rid] = strategy
+            stale = True
+            if self.whole:
+                request = profile.requests[rid]
+                keeps_running = request.duration_slots >= 2
+                if old.allocated:
+                    self.view.hold(request, old, keeps_running, -1)
+                if strategy.allocated:
+                    self.view.hold(request, strategy, keeps_running)
+        if stale:
+            if self.whole:
+                self.view.settle()
+            else:
+                self.view = ContextView.build(graph, profile, exclude=request_id)
+
+
 def best_response(
     request: UserRequest,
     profile: StrategyProfile,
@@ -343,18 +397,26 @@ def best_response(
     lexicographically smallest host sequence.  None means the request stays
     unallocated.
 
-    `memo` maps a request id to a sealed `Certificate` of all its corridor
-    runs and the best response they gave; while the certificate holds for the
-    current view, that result is returned without running the kernel.  The
-    caller must drop the memo when server modes, the graph, a request or the
-    config change.
+    `memo` maps a request id to an entry that keeps the request's view, which
+    catches up with ``profile.strategies`` by itself, and a sealed
+    `Certificate` of all its corridor runs with the best response they gave.
+    The view is built on the request's first call only; while the
+    certificate holds for the caught-up view, the stored result is returned
+    without running the kernel.  The caller must drop the memo when server
+    modes, the graph, the requests or the config change.
     """
-    view = ContextView.build(graph, profile, exclude=request.id)
-    certificate = None
-    if memo is not None:
-        stored = memo.get(request.id)
-        if stored is not None and stored[0].holds(view):
-            return stored[1]
+    certificate = kept = None
+    if memo is None:
+        view = ContextView.build(graph, profile, exclude=request.id)
+    else:
+        kept = memo.get(request.id)
+        if kept is None:
+            kept = _Kept(graph, profile, request.id)
+        else:
+            kept.catch_up(graph, profile, request.id)
+            if kept.certificate.holds(kept.view):
+                return kept.best
+        view = kept.view
         certificate = Certificate()
     table: dict = {}
     best = best_rank = None
@@ -370,9 +432,10 @@ def best_response(
         rank = (-candidate.payoff, sum(len(r.links) for r in candidate.routes), candidate.hosts)
         if best is None or rank < best_rank:
             best, best_rank = candidate, rank
-    if certificate is not None:
+    if kept is not None:
         certificate.seal(view)
-        memo[request.id] = (certificate, best)
+        kept.certificate, kept.best = certificate, best
+        memo[request.id] = kept
     return best
 
 

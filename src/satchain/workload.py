@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -80,6 +80,26 @@ class WorkloadRanges:
     def __post_init__(self):
         for f in fields(self):
             check_bounds(f"ranges.{f.name}", getattr(self, f.name), 1)
+
+
+# accepted types per field annotation; a bool, which is an int to isinstance, passes only a "bool" field
+_FIELD_TYPES = {
+    "int": int, "float": (int, float), "int | None": (int, type(None)), "str": str, "bool": bool, "tuple": (tuple, list)
+}
+
+
+def has_type(value, annotation: str) -> bool:
+    """True when `value` may fill a config field annotated `annotation` (a key of `_FIELD_TYPES`)."""
+    return isinstance(value, _FIELD_TYPES[annotation]) and (annotation == "bool" or not isinstance(value, bool))
+
+
+def check_types(config, prefix: str = "") -> None:
+    """Raise ValueError naming the first field of dataclass `config` whose value
+    has the wrong type; a field with a dataclass default takes that class."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if not (isinstance(value, type(f.default)) if is_dataclass(f.default) else has_type(value, f.type)):
+            raise ValueError(f"{prefix}{f.name} must be {f.type}, not {value!r}")
 
 
 def check_bounds(name: str, bounds, low: int) -> None:

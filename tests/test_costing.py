@@ -153,6 +153,18 @@ class TestPayoff:
         with pytest.raises(ValueError):
             Weights(-0.5, 1.0, 0.5)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"bw": "0.5"}, "weights.bw must be float, not '0.5'"),
+            ({"bw": True, "power": 0.0, "delay": 0.0}, "weights.bw must be float, not True"),
+        ],
+    )
+    def test_mistyped_weight_fails_naming_the_field(self, kwargs, message):
+        with pytest.raises(ValueError) as raised:
+            Weights(**kwargs)
+        assert str(raised.value) == message
+
 
 class TestNetworkPayoff:
     def _stub(self, request_id, payoff):

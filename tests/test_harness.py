@@ -319,6 +319,22 @@ class TestConfig:
         with pytest.raises(ValueError, match=key):
             SimulationConfig.from_json(json.dumps({key: value}))
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"beam_width": "4"}, "beam_width must be int | None, not '4'"),
+            ({"cpu": "112"}, "cpu must be float, not '112'"),
+            ({"num_paths": True}, "num_paths must be int, not True"),
+            ({"k_max": 2.5}, "k_max must be int, not 2.5"),
+            ({"validate_each_step": "yes"}, "validate_each_step must be bool, not 'yes'"),
+            ({"weights": {"bw": 1.0}}, "weights must be Weights"),
+        ],
+    )
+    def test_mistyped_value_fails_at_construction_naming_the_field(self, kwargs, message):
+        with pytest.raises(ValueError) as raised:
+            SimulationConfig(**kwargs)
+        assert str(raised.value).startswith(message)
+
     @pytest.mark.parametrize("key", ["beam", "mode", "epsilon"])
     def test_from_json_rejects_unknown_top_level_key(self, key):
         doc = json.loads(SimulationConfig().to_json())

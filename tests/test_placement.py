@@ -31,18 +31,19 @@ class DrawnRng:
         return self.data.draw(st.integers(low, high - 1))
 
 
-def drawn_game(data):
+def drawn_game(data, divisor=10):
     """(requests, graph, context, config) of a pgra slot on a drawn 2-7-node ring.
 
     Capacities, demands and bandwidths are drawn in tenths (10.1 CPU, 2.7 per
-    VNF), so that ``free - used`` rounds; servers take every mode, and the
-    requests mix single- and multi-slot durations.
+    VNF), so that ``free - used`` rounds, or with ``divisor=1`` as whole
+    numbers ten times as large; servers take every mode, and the requests mix
+    single- and multi-slot durations.
     """
-    tenths = lambda lo, hi: data.draw(st.integers(lo, hi)) / 10
+    amount = lambda lo, hi: data.draw(st.integers(lo, hi)) / divisor
     n = data.draw(st.integers(2, 7))
-    nodes = [SatelliteNode(tenths(50, 150), tenths(50, 150), TABLE_POWER) for _ in range(n)]
+    nodes = [SatelliteNode(amount(50, 150), amount(50, 150), TABLE_POWER) for _ in range(n)]
     links = [
-        Link(i, (i + 1) % n, tenths(50, 400), float(data.draw(st.integers(1, 4))), 1.0)
+        Link(i, (i + 1) % n, amount(50, 400), float(data.draw(st.integers(1, 4))), 1.0)
         for i in range(n if n > 2 else 1)
     ]
     graph = NetworkGraph(nodes, links)
@@ -58,8 +59,8 @@ def drawn_game(data):
             rid,
             data.draw(st.integers(0, n - 1)),
             data.draw(st.integers(0, n - 1)),
-            [(tenths(10, 60), tenths(10, 60), 10.0) for _ in range(data.draw(st.integers(1, 3)))],
-            edge_bw=tenths(50, 300),
+            [(amount(10, 60), amount(10, 60), 10.0) for _ in range(data.draw(st.integers(1, 3)))],
+            edge_bw=amount(50, 300),
             max_delay=float(data.draw(st.integers(40, 120))),
             duration=data.draw(st.integers(1, 3)),
         )
@@ -94,6 +95,37 @@ def assert_best_responses_match_independent_runs(requests, graph, context, confi
         assert best_response(request, profile, graph, config, memo) == expected
         if expected is not None:
             profile.strategies[request.id] = expected
+
+
+def assert_kept_views_match_fresh_builds(data, divisor):
+    """Interleave memo'd best responses with direct writes to the profile:
+    commits, drops to unallocated and restores of an earlier strategy.  After
+    each memo'd call, the request's kept view must equal a fresh build, its
+    free values bit for bit."""
+    requests, graph, context, config = drawn_game(data, divisor)
+    profile = StrategyProfile.empty(requests, context)
+    memo, given = {}, {r.id: [] for r in requests}
+    for _ in range(data.draw(st.integers(8, 40))):
+        request = data.draw(st.sampled_from(requests))
+        action = data.draw(st.sampled_from(("respond", "respond", "commit", "drop", "restore")))
+        if action == "respond":
+            best_response(request, profile, graph, config, memo)
+            kept = memo[request.id]
+            assert kept.whole or divisor != 1
+            fresh = ContextView.build(graph, profile, exclude=request.id)
+            for name in ("free_cpu", "free_mem", "free_bw"):
+                assert [x.hex() for x in getattr(kept.view, name)] == [x.hex() for x in getattr(fresh, name)]
+            assert kept.view.serves_next == fresh.serves_next
+            assert kept.view.idle_charged == fresh.idle_charged
+        elif action == "commit":
+            strategy = best_response(request, profile, graph, config)
+            if strategy is not None:
+                given[request.id].append(strategy)
+                profile.strategies[request.id] = strategy
+        elif action == "drop":
+            profile.strategies[request.id] = Strategy.unallocated(request.id)
+        elif given[request.id]:
+            profile.strategies[request.id] = data.draw(st.sampled_from(given[request.id]))
 
 
 def empty_profile(graph, context, *requests):
@@ -326,6 +358,28 @@ class TestBestResponse:
         graph = config.build_graph()
         requests = generate_requests(16, graph, config.ranges, seed, d=config.num_paths)
         assert_best_responses_match_independent_runs(requests, graph, idle_context(graph), config)
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(st.data())
+    def test_kept_view_updated_in_place_matches_a_fresh_build(self, data):
+        assert_kept_views_match_fresh_builds(data, divisor=1)
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(st.data())
+    def test_kept_view_of_tenths_matches_a_fresh_build(self, data):
+        assert_kept_views_match_fresh_builds(data, divisor=10)
+
+    def test_pgra_run_builds_each_request_view_once(self, monkeypatch):
+        config = SimulationConfig().with_nodes(12)
+        graph = config.build_graph()
+        requests = generate_requests(20, graph, config.ranges, 1, d=config.num_paths)
+        built = []
+        build = ContextView.build.__func__
+        counted = lambda cls, *args, **kwargs: built.append(kwargs) or build(cls, *args, **kwargs)
+        monkeypatch.setattr(ContextView, "build", classmethod(counted))
+        _, trace = pgra_run(requests, graph, idle_context(graph), config)
+        assert trace.iterations > 5
+        assert sorted(kwargs["exclude"] for kwargs in built) == [r.id for r in requests]
 
     def test_deterministic(self, graph6):
         context = idle_context(graph6)
