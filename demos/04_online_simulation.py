@@ -4,9 +4,7 @@
 
 from collections import Counter
 
-import numpy as np
-
-from satchain import OnlineSimulation, SimulationConfig, generate_requests
+from satchain import OnlineSimulation, SimulationConfig, arrival_count, generate_requests
 
 config = SimulationConfig(slots=20)
 sim = OnlineSimulation(config)
@@ -14,7 +12,7 @@ seed = 3
 
 print("slot  new  allocated  payoff   mean-delay-cost")
 for slot in range(config.slots):
-    count = int(np.random.default_rng(np.random.SeedSequence([seed, slot, 1])).integers(5, 11))
+    count = arrival_count(seed, slot, config.requests_per_slot)
     arrivals = generate_requests(
         count, sim.graph, config.ranges, seed, slot=slot, d=config.num_paths, start_id=sim.next_id
     )

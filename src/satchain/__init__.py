@@ -58,6 +58,7 @@ from .workload import (
     VnfSpec,
     WorkloadRanges,
     acceptable_delay,
+    arrival_count,
     generate_requests,
 )
 

@@ -10,13 +10,12 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
-import numpy as np
-
 from .costing import ContextView, Strategy, StrategyProfile, check_feasibility
 from .energy import PowerParams, ServerFleet
 from .game import is_nash, pgra_run, potential_identity_check
 from .harness import OnlineSimulation, SimulationConfig, run_online
 from .placement import best_response, viterbi_place
+from .stream import Stream
 from .workload import generate_requests
 
 
@@ -34,13 +33,13 @@ def check_potential_identity(seed: int = 0, instances: int = 4, triples: int = 5
     for i in range(instances):
         graph, context, requests = _instance(config, seed + i, m=10)
         profile, _ = pgra_run(requests, graph, context, config)
-        rng = np.random.default_rng(seed + i)
+        rng = Stream(seed + i)
         ids = sorted(profile.requests)
         for _ in range(triples):
-            rid = ids[int(rng.integers(len(ids)))]
+            rid = ids[rng.integers(0, len(ids))]
             request = profile.requests[rid]
             paths = graph.candidate_sd_paths(request.source, request.destination, config.num_paths)
-            path = paths[int(rng.integers(len(paths)))]
+            path = paths[rng.integers(0, len(paths))]
             view = ContextView.build(graph, profile, exclude=rid)
             alt = viterbi_place(request, path, view, graph, config)
             if alt is None:

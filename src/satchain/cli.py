@@ -12,7 +12,7 @@ from .harness import ALGORITHMS, SimulationConfig, check_sweep, emit_text, run_b
 
 
 def _seed(text: str) -> int:
-    """`--seed` value: numpy's generators take only non-negative integers."""
+    """`--seed` value: seeded streams take only non-negative integers."""
     try:
         seed = int(text)
         if seed >= 0:

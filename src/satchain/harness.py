@@ -3,8 +3,8 @@ two-factor orthogonal parameter sweep, with tidy CSV/JSON emission.
 
 All runs are pure functions of (config, seed): workloads derive from
 ``(seed, slot)``, sweep repetitions from ``(seed, request_count, repetition)``
-via numpy seed sequences, so any cell of any experiment can be replayed in
-isolation.
+via the seeded streams of `satchain.stream`, so any cell of any experiment
+can be replayed in isolation.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ import json
 import warnings
 from dataclasses import asdict, astuple, dataclass, fields, is_dataclass, replace
 from statistics import fmean
-
-import numpy as np
 
 from .costing import (
     CommittedPlacement,
@@ -29,8 +27,9 @@ from .costing import (
 from .energy import PowerParams, ServerFleet
 from .game import pgra_run
 from .placement import best_response, greedy_place
+from .stream import generate_state
 from .topology import NetworkGraph, SatelliteNode, build_constellation
-from .workload import WorkloadRanges, check_bounds, check_types, generate_requests, has_type
+from .workload import WorkloadRanges, arrival_count, check_bounds, check_types, generate_requests, has_type
 
 ALGORITHMS = ("pgra", "viterbi", "greedy")
 
@@ -191,7 +190,7 @@ def _metrics(profile: StrategyProfile, slot, algorithm, seed, iterations) -> Slo
 
 
 def _check_seed(seed: int) -> None:
-    """Raise ValueError naming the seed unless numpy's seed sequences take it."""
+    """Raise ValueError naming the seed unless a seeded stream takes it."""
     if seed < 0:
         raise ValueError(f"seed must be >= 0, not {seed}")
 
@@ -260,11 +259,9 @@ def run_online(config: SimulationConfig, algorithm: str, seed: int, graph: Netwo
     _check_seed(seed)
     sim = OnlineSimulation(config, graph)
     config = sim.config
-    lo, hi = config.requests_per_slot
     results = []
     for slot in range(config.slots):
-        count_rng = np.random.default_rng(np.random.SeedSequence([seed, slot, 1]))
-        count = int(count_rng.integers(lo, hi + 1))
+        count = arrival_count(seed, slot, config.requests_per_slot)
         arrivals = generate_requests(
             count, sim.graph, config.ranges, seed, slot=slot, d=config.num_paths, start_id=sim.next_id
         )
@@ -302,8 +299,7 @@ class TaguchiResult:
 
 def derive_seed(master: int, *parts: int) -> int:
     """Stable sub-seed for one experiment cell."""
-    state = np.random.SeedSequence([master, *parts]).generate_state(1, np.uint64)[0]
-    return int(state % (2**63))
+    return generate_state([master, *parts], 1, 64)[0] % 2**63
 
 
 def check_sweep(config: SimulationConfig, d_levels, b_levels, m_values, repetitions: int) -> None:

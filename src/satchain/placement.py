@@ -332,6 +332,20 @@ def viterbi_place(
     return _beam_search(request, sorted(set(path.nodes)), view, graph, config, config.beam_width, certificate, table)
 
 
+def _whole_numbers(graph: NetworkGraph, profile: StrategyProfile) -> bool:
+    """True when every capacity and load of the slot is a whole number and
+    their total is below 2**53, so that every free value of a view is an
+    integer and any order of additions gives the bits of a fresh build."""
+    requests = [p.request for p in profile.context.committed] + list(profile.requests.values())
+    values = [
+        *(value for node in graph.nodes for value in (node.cpu, node.memory)),
+        *(link.bandwidth for link in graph.links),
+        *(value for r in requests for vnf in r.vnfs for value in (vnf.cpu, vnf.memory)),
+        *(bandwidth for r in requests for bandwidth in r.bandwidths),
+    ]
+    return all(float(value).is_integer() for value in values) and sum(values) < 2**53
+
+
 class _Kept:
     """A request's entry in the `best_response` memo: its view, the strategies
     of ``profile.strategies`` that the view reflects, and the certified best
@@ -339,25 +353,16 @@ class _Kept:
 
     The view catches up by itself: each other request whose strategy is not
     the one it reflects gives that back and takes the new one.  This is exact
-    only when every capacity and load of the slot is a whole number and their
-    total stays below 2**53, so that every free value is an integer and any
-    order of additions gives the bits of a fresh build; otherwise a stale
+    only when the slot is `whole` (see `_whole_numbers`); otherwise a stale
     view is built afresh.
     """
 
     __slots__ = ("view", "seen", "whole", "certificate", "best")
 
-    def __init__(self, graph: NetworkGraph, profile: StrategyProfile, request_id: int):
+    def __init__(self, graph: NetworkGraph, profile: StrategyProfile, request_id: int, whole: bool):
         self.view = ContextView.build(graph, profile, exclude=request_id)
         self.seen = dict(profile.strategies)
-        requests = [p.request for p in profile.context.committed] + list(profile.requests.values())
-        values = [
-            *(value for node in graph.nodes for value in (node.cpu, node.memory)),
-            *(link.bandwidth for link in graph.links),
-            *(value for r in requests for vnf in r.vnfs for value in (vnf.cpu, vnf.memory)),
-            *(bandwidth for r in requests for bandwidth in r.bandwidths),
-        ]
-        self.whole = all(float(value).is_integer() for value in values) and sum(values) < 2**53
+        self.whole = whole
 
     def catch_up(self, graph: NetworkGraph, profile: StrategyProfile, request_id: int) -> None:
         stale = False
@@ -411,7 +416,9 @@ def best_response(
     else:
         kept = memo.get(request.id)
         if kept is None:
-            kept = _Kept(graph, profile, request.id)
+            # one memo serves one slot on one graph, so its first entry's test holds for every entry
+            whole = next(iter(memo.values())).whole if memo else _whole_numbers(graph, profile)
+            kept = _Kept(graph, profile, request.id, whole)
         else:
             kept.catch_up(graph, profile, request.id)
             if kept.certificate.holds(kept.view):

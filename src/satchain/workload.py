@@ -5,8 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, is_dataclass
 
-import numpy as np
-
+from .stream import Stream
 from .topology import NetworkGraph
 
 
@@ -138,13 +137,13 @@ def generate_requests(
     """
     if count < 0:
         raise ValueError("count must be non-negative")
-    rng = np.random.default_rng(np.random.SeedSequence([rng_seed, slot]))
+    rng = Stream([rng_seed, slot])
     n_nodes = len(graph.nodes)
     requests = []
     for i in range(count):
-        source = int(rng.integers(0, n_nodes))
-        destination = int(rng.integers(0, n_nodes))
-        n_vnfs = int(rng.integers(ranges.vnf_count[0], ranges.vnf_count[1] + 1))
+        source = rng.integers(0, n_nodes)
+        destination = rng.integers(0, n_nodes)
+        n_vnfs = rng.integers(ranges.vnf_count[0], ranges.vnf_count[1] + 1)
         vnfs = [PSEUDO_VNF]
         for _ in range(n_vnfs):
             cpu = float(rng.integers(ranges.cpu[0], ranges.cpu[1] + 1))
@@ -155,7 +154,7 @@ def generate_requests(
         bandwidths = tuple(
             float(rng.integers(ranges.bandwidth[0], ranges.bandwidth[1] + 1)) for _ in range(len(vnfs) - 1)
         )
-        duration = int(rng.integers(ranges.duration[0], ranges.duration[1] + 1))
+        duration = rng.integers(ranges.duration[0], ranges.duration[1] + 1)
         exec_total = math.fsum(v.exec_time for v in vnfs)
         requests.append(
             UserRequest(
@@ -170,3 +169,10 @@ def generate_requests(
             )
         )
     return requests
+
+
+def arrival_count(rng_seed: int, slot: int, bounds) -> int:
+    """How many requests arrive in `slot` of an on-line run: uniform over the
+    closed `bounds`, from the stream of ``(rng_seed, slot, 1)``, which no
+    request draw shares."""
+    return Stream([rng_seed, slot, 1]).integers(bounds[0], bounds[1] + 1)

@@ -381,6 +381,18 @@ class TestBestResponse:
         assert trace.iterations > 5
         assert sorted(kwargs["exclude"] for kwargs in built) == [r.id for r in requests]
 
+    def test_pgra_run_tests_whole_numbers_once(self, monkeypatch):
+        config = SimulationConfig().with_nodes(12)
+        graph = config.build_graph()
+        requests = generate_requests(20, graph, config.ranges, 1, d=config.num_paths)
+        tested = []
+        whole_numbers = placement._whole_numbers
+        counted = lambda *args: tested.append(args) or whole_numbers(*args)
+        monkeypatch.setattr(placement, "_whole_numbers", counted)
+        profile, _ = pgra_run(requests, graph, idle_context(graph), config)
+        assert len(tested) == 1
+        assert whole_numbers(graph, profile)
+
     def test_deterministic(self, graph6):
         context = idle_context(graph6)
         requests = generate_requests(4, graph6, rng_seed=11, d=8)
