@@ -20,7 +20,7 @@ states = {i: ServerState(Mode.IDLE, idle_since=0) for i in range(len(graph.nodes
 context = SlotContext(slot=0, server_states=states, committed=[], idle_charge="once")
 
 request = generate_requests(1, graph, config.ranges, rng_seed=424, d=config.num_paths)[0]
-real = request.real_vnfs
+real = [v for v in request.vnfs if not v.is_pseudo]
 print(f"request: {len(real)} VNFs, {request.source} -> {request.destination}, "
       f"{sum(v.cpu for v in real):.0f} vCPU total, budget {request.max_delay:.2f} ms, "
       f"lifetime {request.duration_slots} slot(s)")

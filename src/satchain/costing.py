@@ -98,7 +98,8 @@ class StrategyProfile:
 
     @classmethod
     def empty(cls, requests, context: SlotContext) -> "StrategyProfile":
-        by_id = {r.id: r for r in requests}
+        # keyed in ascending id, the order a one-pass round places and holds in
+        by_id = {r.id: r for r in sorted(requests, key=lambda r: r.id)}
         return cls(by_id, {rid: Strategy.unallocated(rid) for rid in by_id}, context)
 
     def with_strategy(self, strategy: Strategy) -> "StrategyProfile":
@@ -117,28 +118,33 @@ class ContextView:
     current strategies into flat per-node / per-link arrays so that placement
     search touches nothing but list lookups.  `hold` is the one rule for what
     a strategy holds: `build` takes each running and other allocated strategy
-    with it, and a view kept across a `pgra_run` gives a replaced strategy
-    back and takes its successor.  Behind each flag list is a per-node count
-    of the VNFs that set it (``serving``, ``idling``), so a flag clears when
-    its last holder leaves.
+    with it, a view kept across a `pgra_run` gives a replaced strategy back
+    and takes its successor, a one-pass round's view takes each placement as
+    it is made, and `check_feasibility` tallies loads with it.  Behind each
+    flag list is a per-node count of the VNFs that set it (``serving``,
+    ``idling``), so a flag clears when its last holder leaves.
     """
 
     __slots__ = (
         "free_cpu", "free_mem", "free_bw", "mode", "serves_next", "idle_charged", "idle_charge", "serving", "idling"
     )
 
+    def __init__(self, graph: NetworkGraph, context: SlotContext):
+        """A view that holds nothing: every free value at its capacity.  The
+        flags are unset until `settle`."""
+        n = len(graph.nodes)
+        self.free_cpu = [node.cpu for node in graph.nodes]
+        self.free_mem = [node.memory for node in graph.nodes]
+        self.free_bw = [link.bandwidth for link in graph.links]
+        self.mode = [context.server_states[i].mode for i in range(n)]
+        self.serving = [0] * n
+        self.idling = [0] * n
+        self.idle_charge = context.idle_charge
+
     @classmethod
     def build(cls, graph: NetworkGraph, profile: StrategyProfile, exclude: int | None = None) -> "ContextView":
-        view = cls()
         ctx = profile.context
-        n = len(graph.nodes)
-        view.free_cpu = [node.cpu for node in graph.nodes]
-        view.free_mem = [node.memory for node in graph.nodes]
-        view.free_bw = [link.bandwidth for link in graph.links]
-        view.mode = [ctx.server_states[i].mode for i in range(n)]
-        view.serving = [0] * n
-        view.idling = [0] * n
-        view.idle_charge = ctx.idle_charge
+        view = cls(graph, ctx)
         for placement in ctx.committed:
             view.hold(placement.request, placement.strategy, placement.end_slot >= ctx.slot + 1)
         for rid, strategy in profile.strategies.items():
@@ -280,19 +286,6 @@ def check_feasibility(profile: StrategyProfile, graph: NetworkGraph) -> list:
     """
     violations = []
     ctx = profile.context
-    cpu_used = [0.0] * len(graph.nodes)
-    mem_used = [0.0] * len(graph.nodes)
-    bw_used = [0.0] * len(graph.links)
-
-    def account(request: UserRequest, strategy: Strategy):
-        for i, vnf in enumerate(request.vnfs):
-            if not vnf.is_pseudo:
-                cpu_used[strategy.hosts[i]] += vnf.cpu
-                mem_used[strategy.hosts[i]] += vnf.memory
-        for bandwidth, route in zip(request.bandwidths, strategy.routes):
-            for link_index in route.links:
-                bw_used[link_index] += bandwidth
-
     active = [(p.request, p.strategy) for p in ctx.committed]
     for rid in sorted(profile.strategies):
         strategy = profile.strategies[rid]
@@ -326,16 +319,23 @@ def check_feasibility(profile: StrategyProfile, graph: NetworkGraph) -> list:
                     Violation("server_unavailable", (rid, i), "host cannot serve in this slot")
                 )
 
+    # a view whose free values start at zero: each then reads 0.0 minus the
+    # loads, in order, which is exactly minus their running sum
+    tally = ContextView(graph, ctx)
+    tally.free_cpu, tally.free_mem = [0.0] * len(graph.nodes), [0.0] * len(graph.nodes)
+    tally.free_bw = [0.0] * len(graph.links)
     for request, strategy in active:
-        account(request, strategy)
+        tally.hold(request, strategy, False)
     for i, node in enumerate(graph.nodes):
-        if cpu_used[i] > node.cpu + 1e-9:
-            violations.append(Violation("node_capacity", i, f"cpu {cpu_used[i]} over capacity"))
-        if mem_used[i] > node.memory + 1e-9:
-            violations.append(Violation("node_capacity", i, f"memory {mem_used[i]} over capacity"))
+        cpu_used, mem_used = -tally.free_cpu[i], -tally.free_mem[i]
+        if cpu_used > node.cpu + 1e-9:
+            violations.append(Violation("node_capacity", i, f"cpu {cpu_used} over capacity"))
+        if mem_used > node.memory + 1e-9:
+            violations.append(Violation("node_capacity", i, f"memory {mem_used} over capacity"))
     for k, link in enumerate(graph.links):
-        if bw_used[k] > link.bandwidth + 1e-9:
-            violations.append(Violation("link_bandwidth", k, f"bandwidth {bw_used[k]} over capacity"))
+        bw_used = -tally.free_bw[k]
+        if bw_used > link.bandwidth + 1e-9:
+            violations.append(Violation("link_bandwidth", k, f"bandwidth {bw_used} over capacity"))
 
     for node_id in sorted(ctx.server_states):
         state = ctx.server_states[node_id]

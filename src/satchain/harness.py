@@ -18,6 +18,7 @@ from statistics import fmean
 
 from .costing import (
     CommittedPlacement,
+    ContextView,
     SlotContext,
     StrategyProfile,
     Weights,
@@ -159,10 +160,15 @@ def _allocate(algorithm, requests, graph, context, config: SimulationConfig):
         raise ValueError(f"unknown algorithm {algorithm!r}")
     place = best_response if algorithm == "viterbi" else greedy_place
     profile = StrategyProfile.empty(requests, context)
-    for rid in sorted(profile.requests):
-        strategy = place(profile.requests[rid], profile, graph, config)
+    # one view for the round: it holds the committed set, then each placement
+    # as it is made, in the id order a fresh build would hold them in
+    view = ContextView.build(graph, profile)
+    for rid, request in profile.requests.items():
+        strategy = place(request, profile, graph, config, view=view)
         if strategy is not None:
             profile.strategies[rid] = strategy
+            view.hold(request, strategy, request.duration_slots >= 2)
+            view.settle()
     return profile, 1
 
 

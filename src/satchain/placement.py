@@ -392,6 +392,7 @@ def best_response(
     graph: NetworkGraph,
     config: SimulationConfig,
     memo: dict | None = None,
+    view: ContextView | None = None,
 ) -> Strategy | None:
     """Payoff-maximal strategy over all candidate paths, others held fixed.
 
@@ -408,11 +409,14 @@ def best_response(
     The view is built on the request's first call only; while the
     certificate holds for the caught-up view, the stored result is returned
     without running the kernel.  The caller must drop the memo when server
-    modes, the graph, the requests or the config change.
+    modes, the graph, the requests or the config change.  Without a memo, a
+    given `view` is searched in place of a fresh build; it must equal
+    ``ContextView.build(graph, profile, exclude=request.id)``.
     """
     certificate = kept = None
     if memo is None:
-        view = ContextView.build(graph, profile, exclude=request.id)
+        if view is None:
+            view = ContextView.build(graph, profile, exclude=request.id)
     else:
         kept = memo.get(request.id)
         if kept is None:
@@ -451,6 +455,7 @@ def greedy_place(
     profile: StrategyProfile,
     graph: NetworkGraph,
     config: SimulationConfig,
+    view: ContextView | None = None,
 ) -> Strategy | None:
     """One-pass placement: each VNF takes the best feasible node right now.
 
@@ -459,9 +464,11 @@ def greedy_place(
     appended (bandwidth of the first feasible ranked route from the previous
     host, attributed power, execution plus transit time).  Exact ties break
     toward fewer hops, then the smallest node id.  `config.beam_width` is
-    ignored.  No backtracking: any dead end fails the whole request.
+    ignored.  No backtracking: any dead end fails the whole request.  A
+    given `view` is searched in place of a fresh build, as in `best_response`.
     """
-    view = ContextView.build(graph, profile, exclude=request.id)
+    if view is None:
+        view = ContextView.build(graph, profile, exclude=request.id)
     corridor: set = set()
     for path in graph.candidate_sd_paths(request.source, request.destination, config.num_paths):
         corridor.update(path.nodes)

@@ -178,7 +178,10 @@ class NetworkGraph:
                         kth = -worst[0]
                     continue
                 step = delay + links[link_index].delay
-                heapq.heappush(frontier, (step + to_t[v], nodes + (v,), route + (link_index,), step, visited | 1 << v))
+                bound = step + to_t[v]
+                if bound > kth + 1e-9:  # kth only falls, so this prefix would never be expanded
+                    continue
+                heapq.heappush(frontier, (bound, nodes + (v,), route + (link_index,), step, visited | 1 << v))
         return found
 
     def route_matrix(self, d: int) -> list:

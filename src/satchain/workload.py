@@ -57,10 +57,6 @@ class UserRequest:
             raise ValueError("duration must be at least one slot")
 
     @property
-    def real_vnfs(self) -> tuple:
-        return tuple(v for v in self.vnfs if not v.is_pseudo)
-
-    @property
     def total_exec_time(self) -> float:
         return math.fsum(v.exec_time for v in self.vnfs)
 

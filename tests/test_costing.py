@@ -294,6 +294,27 @@ class TestCheckFeasibility:
         violations = check_feasibility(profile, graph6)
         assert any(v.constraint == "node_capacity" for v in violations)
 
+    def test_over_capacity_details_print_the_loads_summed_in_order(self):
+        # tenths round, so each printed sum pins the order: committed first, then ascending id
+        graph = make_graph(2, [(0, 1, 1.0)], cpu=10.0, memory=11.0, bandwidth=0.9)
+        context = idle_context(graph)
+        hosts, routes = (0, 0, 1), (zero_hop(0), make_path(graph, [0, 1]))
+        old = make_request(5, 0, 1, [(3.3, 4.1, 1.0)], edge_bw=0.3)
+        context.committed.append(CommittedPlacement(old, Strategy(5, hosts, routes), 3))
+        loads = {2: 3.7, 0: 3.1}
+        pairs = [
+            (make_request(rid, 0, 1, [(load, load + 0.1, 1.0)], edge_bw=load / 10), Strategy(rid, hosts, routes))
+            for rid, load in loads.items()
+        ]
+        violations = check_feasibility(profile_of(graph, context, *pairs), graph)
+        a, b = loads[0], loads[2]
+        assert [v.detail for v in violations] == [
+            f"cpu {0.0 + 3.3 + a + b} over capacity",
+            f"memory {0.0 + 4.1 + (a + 0.1) + (b + 0.1)} over capacity",
+            f"bandwidth {0.0 + 0.3 + a / 10 + b / 10} over capacity",
+        ]
+        assert f"{0.0 + 3.3 + b + a}" != f"{0.0 + 3.3 + a + b}"
+
 
     @pytest.mark.parametrize(
         "mutate, constraint, detail",

@@ -1,11 +1,12 @@
 import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from satchain import placement
+from satchain import harness, placement
 from satchain.costing import ContextView, Strategy, StrategyProfile, Weights, check_feasibility
 from satchain.energy import Mode, ServerState
 from satchain.game import pgra_run
@@ -54,7 +55,16 @@ def drawn_game(data, divisor=10):
             context.server_states[i] = ServerState(mode, idle_since=1)
         else:
             context.server_states[i] = ServerState(mode, off_since=0 if mode is Mode.OFF_AVAILABLE else 2)
-    requests = [
+    requests = drawn_requests(data, n, divisor)
+    config = SimulationConfig(num_paths=data.draw(st.integers(1, 4)), beam_width=data.draw(st.integers(1, 4)))
+    return requests, graph, context, config
+
+
+def drawn_requests(data, n, divisor, start_id=0):
+    """2-5 requests of `drawn_game`'s loads between nodes of an `n`-node ring,
+    with ids counting up from `start_id`."""
+    amount = lambda lo, hi: data.draw(st.integers(lo, hi)) / divisor
+    return [
         make_request(
             rid,
             data.draw(st.integers(0, n - 1)),
@@ -64,10 +74,16 @@ def drawn_game(data, divisor=10):
             max_delay=float(data.draw(st.integers(40, 120))),
             duration=data.draw(st.integers(1, 3)),
         )
-        for rid in range(data.draw(st.integers(2, 5)))
+        for rid in range(start_id, start_id + data.draw(st.integers(2, 5)))
     ]
-    config = SimulationConfig(num_paths=data.draw(st.integers(1, 4)), beam_width=data.draw(st.integers(1, 4)))
-    return requests, graph, context, config
+
+
+def assert_same_view(view, fresh):
+    """Free values bit for bit, and modes, counts and flags equal."""
+    for name in ("free_cpu", "free_mem", "free_bw"):
+        assert [x.hex() for x in getattr(view, name)] == [x.hex() for x in getattr(fresh, name)]
+    for name in ("mode", "serving", "idling", "serves_next", "idle_charged", "idle_charge"):
+        assert getattr(view, name) == getattr(fresh, name)
 
 
 def independent_best_response(request, profile, graph, config):
@@ -112,11 +128,7 @@ def assert_kept_views_match_fresh_builds(data, divisor):
             best_response(request, profile, graph, config, memo)
             kept = memo[request.id]
             assert kept.whole or divisor != 1
-            fresh = ContextView.build(graph, profile, exclude=request.id)
-            for name in ("free_cpu", "free_mem", "free_bw"):
-                assert [x.hex() for x in getattr(kept.view, name)] == [x.hex() for x in getattr(fresh, name)]
-            assert kept.view.serves_next == fresh.serves_next
-            assert kept.view.idle_charged == fresh.idle_charged
+            assert_same_view(kept.view, ContextView.build(graph, profile, exclude=request.id))
         elif action == "commit":
             strategy = best_response(request, profile, graph, config)
             if strategy is not None:
@@ -460,3 +472,58 @@ class TestGreedyPlace:
             if strategy is not None:
                 profile.strategies[request.id] = strategy
         assert check_feasibility(profile, graph6) == []
+
+
+def assert_round_views_match_fresh_builds(data, divisor):
+    """Run a drawn one-pass round, or a short on-line run whose later slots
+    carry committed placements, on a shuffled request list.  At every
+    decision the round's view must equal a fresh build, and the decision must
+    equal one made on that fresh build."""
+    requests, graph, context, config = drawn_game(data, divisor)
+    algorithm = data.draw(st.sampled_from(("viterbi", "greedy")))
+    decided = []
+
+    def checked(place):
+        def decide(request, profile, graph, config, view):
+            assert_same_view(view, ContextView.build(graph, profile, exclude=request.id))
+            strategy = place(request, profile, graph, config, view=view)
+            assert strategy == place(request, profile, graph, config)
+            decided.append(request.id)
+            return strategy
+
+        return decide
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "best_response", checked(best_response))
+        patch.setattr(harness, "greedy_place", checked(greedy_place))
+        if data.draw(st.booleans()):
+            harness._allocate(algorithm, data.draw(st.permutations(requests)), graph, context, config)
+            assert decided == sorted(r.id for r in requests)
+            return
+        sim = harness.OnlineSimulation(replace(config, idle_charge=context.idle_charge), graph)
+        arrivals = requests
+        for slot in range(data.draw(st.integers(2, 3))):
+            sim.step(slot, data.draw(st.permutations(arrivals)), algorithm, 0)
+            assert decided[-len(arrivals):] == sorted(r.id for r in arrivals)
+            arrivals = drawn_requests(data, len(graph.nodes), divisor, start_id=arrivals[-1].id + 1)
+
+
+class TestOnePassRound:
+    @pytest.mark.parametrize("divisor", [1, 10])
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(data=st.data())
+    def test_round_view_matches_a_fresh_build_at_every_decision(self, divisor, data):
+        assert_round_views_match_fresh_builds(data, divisor)
+
+    @pytest.mark.parametrize("algorithm", ["viterbi", "greedy"])
+    def test_round_builds_one_view(self, algorithm, monkeypatch):
+        config = SimulationConfig().with_nodes(12)
+        graph = config.build_graph()
+        requests = generate_requests(20, graph, config.ranges, 1, d=config.num_paths)
+        built = []
+        build = ContextView.build.__func__
+        counted = lambda cls, *args, **kwargs: built.append(kwargs) or build(cls, *args, **kwargs)
+        monkeypatch.setattr(ContextView, "build", classmethod(counted))
+        profile, _ = harness._allocate(algorithm, requests, graph, idle_context(graph), config)
+        assert len(profile.allocated_ids()) > 5
+        assert built == [{}]

@@ -32,7 +32,7 @@ class TestGeneration:
         requests = generate_requests(1000, graph6, rng_seed=7)
         counts = []
         for r in requests:
-            real = r.real_vnfs
+            real = [v for v in r.vnfs if not v.is_pseudo]
             counts.append(len(real))
             assert 5 <= len(real) <= 10
             for vnf in real:
