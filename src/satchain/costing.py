@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .energy import Mode, vnf_power_attribution
+from .energy import IDLE, OFF_AVAILABLE, OFF_UNAVAILABLE, vnf_power_attribution
 from .topology import NetworkGraph
 from .workload import UserRequest, check_types
 
@@ -102,11 +102,6 @@ class StrategyProfile:
         by_id = {r.id: r for r in sorted(requests, key=lambda r: r.id)}
         return cls(by_id, {rid: Strategy.unallocated(rid) for rid in by_id}, context)
 
-    def with_strategy(self, strategy: Strategy) -> "StrategyProfile":
-        strategies = dict(self.strategies)
-        strategies[strategy.request_id] = strategy
-        return StrategyProfile(self.requests, strategies, self.context)
-
     def allocated_ids(self) -> list:
         return sorted(rid for rid, s in self.strategies.items() if s.allocated)
 
@@ -169,7 +164,7 @@ class ContextView:
             free_mem[host] -= factor * vnf.memory
             if keeps_running:
                 serving[host] += sign
-            if mode[host] is Mode.IDLE:
+            if mode[host] is IDLE:
                 idling[host] += sign
         for bandwidth, route in zip(request.bandwidths, strategy.routes):
             for link_index in route.links:
@@ -232,7 +227,7 @@ def energy_cost(strategy: Strategy, request: UserRequest, graph: NetworkGraph, v
             idle_already_charged=already,
             idle_charge=view.idle_charge,
         )
-        if mode is Mode.IDLE and not serves:
+        if mode is IDLE and not serves:
             idle_paid.add(host)
     return total / graph.total_p_max
 
@@ -314,7 +309,7 @@ def check_feasibility(profile: StrategyProfile, graph: NetworkGraph) -> list:
         for i, vnf in enumerate(request.vnfs):
             if vnf.is_pseudo:
                 continue
-            if ctx.server_states[strategy.hosts[i]].mode is Mode.OFF_UNAVAILABLE:
+            if ctx.server_states[strategy.hosts[i]].mode is OFF_UNAVAILABLE:
                 violations.append(
                     Violation("server_unavailable", (rid, i), "host cannot serve in this slot")
                 )
@@ -340,8 +335,8 @@ def check_feasibility(profile: StrategyProfile, graph: NetworkGraph) -> list:
     for node_id in sorted(ctx.server_states):
         state = ctx.server_states[node_id]
         params = graph.nodes[node_id].power
-        if state.mode is Mode.IDLE and ctx.slot - state.idle_since > params.t_idle_max:
+        if state.mode is IDLE and ctx.slot - state.idle_since > params.t_idle_max:
             violations.append(Violation("idle_time", node_id, "idle longer than the idle threshold"))
-        if state.mode is Mode.OFF_AVAILABLE and ctx.slot - state.off_since < params.t_off_min:
+        if state.mode is OFF_AVAILABLE and ctx.slot - state.off_since < params.t_off_min:
             violations.append(Violation("off_time", node_id, "available before the minimum off time"))
     return violations

@@ -21,6 +21,12 @@ class Mode(enum.Enum):
     OFF_AVAILABLE = "off_available"
 
 
+# The library compares modes through these names: on CPython 3.10 and 3.11 a
+# `Mode.ON` load goes through the enum metaclass's __getattr__, over 10x the
+# cost of a global load, and the beam kernel makes such tests per expansion.
+ON, IDLE, OFF_UNAVAILABLE, OFF_AVAILABLE = Mode
+
+
 class IllegalTransition(Exception):
     """An unavailable-off server was asked to serve."""
 
@@ -51,9 +57,9 @@ class ServerState:
     off_since: int | None = None
 
     def __post_init__(self):
-        if self.mode is Mode.IDLE and self.idle_since is None:
+        if self.mode is IDLE and self.idle_since is None:
             raise ValueError("idle state needs idle_since")
-        if self.mode in (Mode.OFF_UNAVAILABLE, Mode.OFF_AVAILABLE) and self.off_since is None:
+        if self.mode in (OFF_UNAVAILABLE, OFF_AVAILABLE) and self.off_since is None:
             raise ValueError("off state needs off_since")
 
 
@@ -71,16 +77,16 @@ def step_server_state(
     ``current_slot - off_since >= t_off_min``.
     """
     if occupied_this_slot:
-        if state.mode is Mode.OFF_UNAVAILABLE:
+        if state.mode is OFF_UNAVAILABLE:
             raise IllegalTransition("server is off and not yet restartable")
-        return ServerState(Mode.ON)
-    if state.mode in (Mode.ON, Mode.IDLE):
-        since = current_slot if state.mode is Mode.ON else state.idle_since
+        return ServerState(ON)
+    if state.mode in (ON, IDLE):
+        since = current_slot if state.mode is ON else state.idle_since
         if current_slot - since >= params.t_idle_max:
-            return ServerState(Mode.OFF_UNAVAILABLE, off_since=current_slot)
-        return ServerState(Mode.IDLE, idle_since=since)
+            return ServerState(OFF_UNAVAILABLE, off_since=current_slot)
+        return ServerState(IDLE, idle_since=since)
     if current_slot - state.off_since >= params.t_off_min:
-        return ServerState(Mode.OFF_AVAILABLE, off_since=state.off_since)
+        return ServerState(OFF_AVAILABLE, off_since=state.off_since)
     return state
 
 
@@ -103,12 +109,12 @@ def vnf_power_attribution(
                                 ``idle_charge == 'per_vnf'``) plus the CPU share
       idle/on + serves next  -> CPU-proportional share only
     """
-    if mode is Mode.OFF_UNAVAILABLE:
+    if mode is OFF_UNAVAILABLE:
         raise IllegalTransition("server cannot host in this slot")
-    if mode is Mode.OFF_AVAILABLE:
+    if mode is OFF_AVAILABLE:
         return 0.0 if serves_next_slot else params.p_max
     share = (vnf_cpu / capacity_cpu) * (params.p_max - params.p_idle)
-    if mode is Mode.IDLE and not serves_next_slot:
+    if mode is IDLE and not serves_next_slot:
         if idle_charge == "per_vnf" or not idle_already_charged:
             return params.p_idle + share
         return share
@@ -129,7 +135,7 @@ class ServerFleet:
 
     def __init__(self, params_by_node: dict[int, PowerParams]):
         self.params = params_by_node
-        self.states: dict[int, ServerState] = {n: ServerState(Mode.IDLE, idle_since=0) for n in params_by_node}
+        self.states: dict[int, ServerState] = {n: ServerState(IDLE, idle_since=0) for n in params_by_node}
         self._setup_nodes: set[int] = set()
         self.timeline: list[tuple[int, int, str, float]] = []
 
@@ -140,11 +146,11 @@ class ServerFleet:
 
     def mark_service(self, nodes: set[int]) -> None:
         for n in nodes:
-            if self.states[n].mode is Mode.OFF_AVAILABLE:
+            if self.states[n].mode is OFF_AVAILABLE:
                 self._setup_nodes.add(n)
-            elif self.states[n].mode is Mode.OFF_UNAVAILABLE:
+            elif self.states[n].mode is OFF_UNAVAILABLE:
                 raise IllegalTransition(f"node {n} cannot serve in this slot")
-            self.states[n] = ServerState(Mode.ON)
+            self.states[n] = ServerState(ON)
 
     def record(self, slot: int, allocated_cpu: dict[int, float], capacity_cpu: dict[int, float]) -> None:
         for n in sorted(self.states):
@@ -152,12 +158,12 @@ class ServerFleet:
             setup = n in self._setup_nodes
             if setup:
                 power = params.p_max
-            elif mode is Mode.ON:
+            elif mode is ON:
                 cpu = allocated_cpu.get(n, 0.0)
                 if not 0 <= cpu <= capacity_cpu[n]:
                     raise ValueError(f"node {n}: allocation {cpu} outside [0, {capacity_cpu[n]}]")
                 power = params.p_idle + (cpu / capacity_cpu[n]) * (params.p_max - params.p_idle)
-            elif mode is Mode.IDLE:
+            elif mode is IDLE:
                 power = params.p_idle
             else:
                 power = 0.0

@@ -141,5 +141,7 @@ def potential_identity_check(profile: StrategyProfile, request_id: int, alternat
     """
     current = profile.strategies[request_id]
     phi_before = network_payoff(profile)
-    phi_after = network_payoff(profile.with_strategy(alternative))
+    strategies = dict(profile.strategies)
+    strategies[alternative.request_id] = alternative
+    phi_after = network_payoff(StrategyProfile(profile.requests, strategies, profile.context))
     return abs((phi_after - phi_before) - (alternative.payoff - current.payoff))

@@ -12,9 +12,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import warnings
 from dataclasses import asdict, astuple, dataclass, fields, is_dataclass, replace
-from statistics import fmean
 
 from .costing import (
     CommittedPlacement,
@@ -177,9 +177,9 @@ def _metrics(profile: StrategyProfile, slot, algorithm, seed, iterations) -> Slo
     total = len(profile.strategies)
     fraction = 1.0 if total == 0 else len(allocated) / total
     if allocated:
-        mean_bw = fmean(s.cost.bw for s in allocated)
-        mean_power = fmean(s.cost.power for s in allocated)
-        mean_delay = fmean(s.cost.delay for s in allocated)
+        mean_bw = math.fsum(s.cost.bw for s in allocated) / len(allocated)
+        mean_power = math.fsum(s.cost.power for s in allocated) / len(allocated)
+        mean_delay = math.fsum(s.cost.delay for s in allocated) / len(allocated)
     else:
         mean_bw = mean_power = mean_delay = 0.0
     return SlotMetrics(
@@ -352,7 +352,7 @@ def run_taguchi(
                 for rep in range(repetitions):
                     run_cfg = replace(cell_cfg, requests=m)
                     phis.append(run_batch(run_cfg, "pgra", derive_seed(seed, m, rep), graph=graph).phi)
-                rows.append(SweepRow(number, d, beam, m, fmean(phis)))
+                rows.append(SweepRow(number, d, beam, m, math.fsum(phis) / len(phis)))
             number += 1
     effects: dict = {"d": {}, "beam": {}}
     for factor in effects:
@@ -360,7 +360,7 @@ def run_taguchi(
             per_m: dict = {}
             for m in m_values:
                 cells = [row.mean_phi for row in rows if getattr(row, factor) == level and row.requests == m]
-                per_m[m] = fmean(cells)
+                per_m[m] = math.fsum(cells) / len(cells)
             effects[factor][level] = per_m
     return TaguchiResult(rows, effects)
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .costing import ContextView, Strategy, StrategyProfile, evaluate_strategy
-from .energy import Mode
+from .energy import OFF_AVAILABLE, OFF_UNAVAILABLE, ON
 from .topology import NetworkGraph, Path
 from .workload import UserRequest
 
@@ -207,7 +207,7 @@ def _beam_search(
                 known[node_id] = None
                 if not pseudo:
                     mode = modes[node_id]
-                    if mode is Mode.OFF_UNAVAILABLE:
+                    if mode is OFF_UNAVAILABLE:
                         continue
                     used = used_cpu[node_id]
                     if free_cpu[node_id] - used < cpu_limit:
@@ -244,15 +244,16 @@ def _beam_search(
                 pays_idle = False
                 if not pseudo:
                     # energy.vnf_power_attribution's rule, inline: a call here gives the same bytes but
-                    # ran viterbi_place up to 1.13x slower (12 nodes, 2-vCPU Xeon).  The oracle test
+                    # made viterbi decisions 1.10x slower (median of 14 alternating runs, 0.93-1.28x;
+                    # 12 nodes, 2-vCPU Xeon, modes compared through module names).  The oracle test
                     # test_unlimited_beam_matches_exhaustive_search checks the two agree per server mode.
-                    if mode is Mode.ON:
+                    if mode is ON:
                         power_w += cpu * power_coeff[node_id]
                     else:
                         serves = serves_self or serves_next[node_id]
                         if flagged is not None and not serves_self:
                             flagged.add(node_id)
-                        if mode is Mode.OFF_AVAILABLE:
+                        if mode is OFF_AVAILABLE:
                             if not serves:
                                 power_w += p_max[node_id]
                         else:  # idle: the baseline is due unless a later slot's service keeps the server on

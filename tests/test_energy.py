@@ -1,7 +1,15 @@
+import inspect
+import types
+
 import numpy as np
 import pytest
 
+from satchain import costing, energy, placement
 from satchain.energy import (
+    IDLE,
+    OFF_AVAILABLE,
+    OFF_UNAVAILABLE,
+    ON,
     IllegalTransition,
     Mode,
     PowerParams,
@@ -185,3 +193,24 @@ class TestFleetTimeline:
             (1, 2, "on", pytest.approx(415.0)),
             (1, 3, "setup", 415.0),
         ]
+
+
+def _nested_code(code):
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            yield const
+            yield from _nested_code(const)
+
+
+class TestModeNames:
+    def test_module_names_are_the_members_in_order(self):
+        assert list(Mode) == [ON, IDLE, OFF_UNAVAILABLE, OFF_AVAILABLE]
+        for member in Mode:
+            assert getattr(energy, member.name) is member
+
+    @pytest.mark.parametrize("module", [energy, costing, placement], ids=lambda m: m.__name__)
+    def test_library_code_compares_modes_through_the_module_names(self, module):
+        # a `Mode.X` load goes through the enum metaclass's __getattr__, the slow
+        # path the module names avoid; comprehensions are nested code objects too
+        top = compile(inspect.getsource(module), module.__file__, "exec")
+        assert [code.co_name for code in _nested_code(top) if "Mode" in code.co_names] == []

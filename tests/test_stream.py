@@ -88,10 +88,11 @@ def test_negative_entropy_raises_as_numpy_does(entropy):
 
 
 def test_batch_runs_without_numpy(capsys):
-    # with numpy blocked, any import of it in the library fails the run
+    # with numpy and statistics blocked, any import of either in the library fails the run
     argv = ["batch", "--nodes", "6", "--seed", "1"]
     src = str(Path(satchain.__file__).resolve().parents[1])
-    code = f"import sys\nsys.modules['numpy'] = None\nsys.path.insert(0, {src!r})\nfrom satchain.cli import main\n"
+    blocked = "sys.modules['numpy'] = sys.modules['statistics'] = None"
+    code = f"import sys\n{blocked}\nsys.path.insert(0, {src!r})\nfrom satchain.cli import main\n"
     done = subprocess.run(
         [sys.executable, "-c", code + f"sys.exit(main({argv!r}))"],
         capture_output=True,
