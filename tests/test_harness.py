@@ -20,7 +20,7 @@ from satchain.harness import (
     run_online,
     run_taguchi,
 )
-from satchain.workload import generate_requests
+from satchain.workload import arrival_count, generate_requests
 
 from conftest import make_graph, make_request
 
@@ -573,3 +573,33 @@ class TestOutputDigest:
             digest.update(text.encode())
             digest.update(b"\x00")
         assert digest.hexdigest() == self.DIGEST
+
+    TIMELINE_DIGEST = "47a7e0fd061a5b538367140b2b6214915ec93562fbddf42b0d84b5c5fedf2cd5"
+
+    def _timelines(self):
+        """`ServerFleet.timeline` of on-line runs driven slot by slot as
+        `run_online` drives them, at whole and fractional node capacities."""
+        for nodes in (6, 12):
+            for cpu, memory in ((112.0, 192.0), (40.3, 77.7)):
+                for idle_charge in ("once", "per_vnf"):
+                    config = SimulationConfig(
+                        cpu=cpu, memory=memory, idle_charge=idle_charge, slots=6, requests_per_slot=(2, 5)
+                    ).with_nodes(nodes)
+                    graph = config.build_graph()
+                    for algorithm in ALGORITHMS:
+                        sim = OnlineSimulation(config, graph)
+                        for slot in range(config.slots):
+                            count = arrival_count(1, slot, config.requests_per_slot)
+                            arrivals = generate_requests(
+                                count, graph, config.ranges, 1, slot=slot, d=config.num_paths, start_id=sim.next_id
+                            )
+                            sim.next_id += count
+                            sim.step(slot, arrivals, algorithm, 1)
+                        yield repr(sim.fleet.timeline)
+
+    def test_fleet_timeline_is_pinned(self):
+        digest = hashlib.sha256()
+        for text in self._timelines():
+            digest.update(text.encode())
+            digest.update(b"\x00")
+        assert digest.hexdigest() == self.TIMELINE_DIGEST
