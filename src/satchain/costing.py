@@ -115,9 +115,10 @@ class ContextView:
     a strategy holds: `build` takes each running and other allocated strategy
     with it, a view kept across a `pgra_run` gives a replaced strategy back
     and takes its successor, a one-pass round's view takes each placement as
-    it is made, and `check_feasibility` tallies loads with it.  Behind each
-    flag list is a per-node count of the VNFs that set it (``serving``,
-    ``idling``), so a flag clears when its last holder leaves.
+    it is made, and `tally` sums the loads that `check_feasibility` and the
+    on-line server fleet read.  Behind each flag list is a per-node count of
+    the VNFs that set it (``serving``, ``idling``), so a flag clears when its
+    last holder leaves.
     """
 
     __slots__ = (
@@ -135,6 +136,18 @@ class ContextView:
         self.serving = [0] * n
         self.idling = [0] * n
         self.idle_charge = context.idle_charge
+
+    @classmethod
+    def tally(cls, graph: NetworkGraph, context: SlotContext, held) -> "ContextView":
+        """A view whose free values start at zero and that holds each
+        ``(request, strategy)`` of `held` in order, so each free value reads
+        exactly minus the running sum of the loads on it."""
+        view = cls(graph, context)
+        view.free_cpu, view.free_mem = [0.0] * len(graph.nodes), [0.0] * len(graph.nodes)
+        view.free_bw = [0.0] * len(graph.links)
+        for request, strategy in held:
+            view.hold(request, strategy, False)
+        return view
 
     @classmethod
     def build(cls, graph: NetworkGraph, profile: StrategyProfile, exclude: int | None = None) -> "ContextView":
@@ -314,13 +327,7 @@ def check_feasibility(profile: StrategyProfile, graph: NetworkGraph) -> list:
                     Violation("server_unavailable", (rid, i), "host cannot serve in this slot")
                 )
 
-    # a view whose free values start at zero: each then reads 0.0 minus the
-    # loads, in order, which is exactly minus their running sum
-    tally = ContextView(graph, ctx)
-    tally.free_cpu, tally.free_mem = [0.0] * len(graph.nodes), [0.0] * len(graph.nodes)
-    tally.free_bw = [0.0] * len(graph.links)
-    for request, strategy in active:
-        tally.hold(request, strategy, False)
+    tally = ContextView.tally(graph, ctx, active)
     for i, node in enumerate(graph.nodes):
         cpu_used, mem_used = -tally.free_cpu[i], -tally.free_mem[i]
         if cpu_used > node.cpu + 1e-9:

@@ -160,9 +160,9 @@ class ServerFleet:
                 power = params.p_max
             elif mode is ON:
                 cpu = allocated_cpu.get(n, 0.0)
-                if not 0 <= cpu <= capacity_cpu[n]:
+                if not 0 <= cpu <= capacity_cpu[n] + 1e-9:  # the tolerance `check_feasibility` allows
                     raise ValueError(f"node {n}: allocation {cpu} outside [0, {capacity_cpu[n]}]")
-                power = params.p_idle + (cpu / capacity_cpu[n]) * (params.p_max - params.p_idle)
+                power = params.p_idle + (min(cpu, capacity_cpu[n]) / capacity_cpu[n]) * (params.p_max - params.p_idle)
             elif mode is IDLE:
                 power = params.p_idle
             else:

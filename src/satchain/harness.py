@@ -232,29 +232,19 @@ class OnlineSimulation:
         """What a placement decision in `slot` sees: server states and the running set."""
         return SlotContext(slot, dict(self.fleet.states), list(self.running), self.config.idle_charge)
 
-    def _cpu_by_host(self) -> dict:
-        """CPU the running set allocates per host; the keys are the serving hosts."""
-        cpu: dict = {}
-        for placement in self.running:
-            for i, vnf in enumerate(placement.request.vnfs):
-                if not vnf.is_pseudo:
-                    host = placement.strategy.hosts[i]
-                    cpu[host] = cpu.get(host, 0.0) + vnf.cpu
-        return cpu
-
     def step(self, slot: int, new_requests: list, algorithm: str, seed: int) -> SlotMetrics:
         self.running = [p for p in self.running if p.end_slot >= slot]
+        tally = ContextView.tally(self.graph, self.context(slot), ((p.request, p.strategy) for p in self.running))
         if slot > 0:
-            self.fleet.advance(set(self._cpu_by_host()), slot)
+            self.fleet.advance({host for host, free in enumerate(tally.free_cpu) if free}, slot)
         profile, iterations = _allocate(algorithm, new_requests, self.graph, self.context(slot), self.config)
         if self.config.validate_each_step:
             _assert_feasible(profile, self.graph, f"slot {slot}: infeasible profile")
         for rid in profile.allocated_ids():
-            request = profile.requests[rid]
-            self.running.append(
-                CommittedPlacement(request, profile.strategies[rid], slot + request.duration_slots - 1)
-            )
-        allocated_cpu = self._cpu_by_host()
+            request, strategy = profile.requests[rid], profile.strategies[rid]
+            self.running.append(CommittedPlacement(request, strategy, slot + request.duration_slots - 1))
+            tally.hold(request, strategy, False)
+        allocated_cpu = {host: -free for host, free in enumerate(tally.free_cpu) if free}
         self.fleet.mark_service(set(allocated_cpu))
         self.fleet.record(slot, allocated_cpu, self._capacity_cpu)
         return _metrics(profile, slot, algorithm, seed, iterations)

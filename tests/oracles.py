@@ -135,3 +135,14 @@ def enumerate_request_strategies(request, profile, graph, d, weights):
         for cost, hosts, routes in enumerate_corridor_placements(request, corridor, view, graph, d, weights):
             strategies.append(Strategy(request.id, hosts, routes, cost))
     return strategies
+
+
+def cpu_by_host(running):
+    """CPU the running placements allocate per host, summed placement by
+    placement and VNF by VNF in chain order; the keys are the serving hosts."""
+    cpu = {}
+    for placement in running:
+        for host, vnf in zip(placement.strategy.hosts, placement.request.vnfs):
+            if not vnf.is_pseudo:
+                cpu[host] = cpu.get(host, 0.0) + vnf.cpu
+    return cpu

@@ -4,7 +4,7 @@ import types
 import numpy as np
 import pytest
 
-from satchain import costing, energy, placement
+from satchain import checks, cli, costing, energy, game, harness, placement, topology
 from satchain.energy import (
     IDLE,
     OFF_AVAILABLE,
@@ -214,3 +214,12 @@ class TestModeNames:
         # path the module names avoid; comprehensions are nested code objects too
         top = compile(inspect.getsource(module), module.__file__, "exec")
         assert [code.co_name for code in _nested_code(top) if "Mode" in code.co_names] == []
+
+
+class TestHoldingRule:
+    @pytest.mark.parametrize("module", [harness, energy, game, checks, cli, topology], ids=lambda m: m.__name__)
+    def test_only_the_holding_modules_skip_pseudo_endpoints(self, module):
+        # what a placement holds is `ContextView.hold`'s rule; a second walk
+        # of a strategy's hosts outside costing/placement/workload would copy it
+        top = compile(inspect.getsource(module), module.__file__, "exec")
+        assert [code.co_name for code in (top, *_nested_code(top)) if "is_pseudo" in code.co_names] == []

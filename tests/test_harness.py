@@ -5,6 +5,8 @@ import warnings
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satchain.cli import main
 from satchain.energy import Mode
@@ -22,7 +24,9 @@ from satchain.harness import (
 )
 from satchain.workload import arrival_count, generate_requests
 
-from conftest import make_graph, make_request
+from conftest import TABLE_POWER, make_graph, make_request
+from oracles import cpu_by_host
+from test_placement import drawn_requests, drawn_ring
 
 
 class TestRunBatch:
@@ -131,6 +135,17 @@ class TestOnlineSimulation:
         assert sim.fleet.timeline[-1][2] == "setup"
         assert sim.fleet.timeline[-1][3] == 415.0
 
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_fleet_takes_a_load_that_fills_the_node_up_to_rounding(self, algorithm):
+        # 0.1 + 0.2 rounds above 0.3; the feasibility check allows 1e-9 over
+        # capacity, so the fleet must too, and the draw stays at p_max
+        graph = make_graph(1, [], cpu=0.3, memory=64.0)
+        sim = OnlineSimulation(replace(self._tiny_config(), sats_per_plane=1, validate_each_step=True), graph)
+        request = make_request(0, 0, 0, [(0.1, 1.0, 10.0), (0.2, 1.0, 10.0)], max_delay=50.0)
+        metrics = sim.step(0, [request], algorithm, seed=0)
+        assert metrics.allocated_fraction == 1.0
+        assert sim.fleet.timeline == [(0, 0, "on", 415.0)]
+
     def test_single_slot_online_equals_batch(self):
         config = SimulationConfig(slots=1, requests_per_slot=(6, 6), requests=6)
         online = run_online(config, "pgra", seed=9)[0]
@@ -147,6 +162,61 @@ class TestOnlineSimulation:
         for metrics in a:
             assert 0.0 <= metrics.allocated_fraction <= 1.0
             assert 0.0 <= metrics.phi <= 10.0  # at most requests_per_slot[1] payoffs of 1
+
+
+def assert_drawn_online_run_is_legal(data, divisor):
+    """Step a drawn on-line run on a 2-7-node ring whose servers draw their
+    idle and off thresholds, checking every slot's feasibility and, from the
+    fleet's timeline: running hosts are exactly the ``on``/``setup`` nodes,
+    each ``on`` row draws the fleet's power for the CPU the running set holds
+    there, a slot's draw lies in ``[0, sum p_max]``, no node idles past
+    ``t_idle_max`` and a restart follows at least ``t_off_min`` off slots."""
+    threshold = lambda: data.draw(st.integers(1, 3))
+    graph = drawn_ring(data, divisor, lambda: replace(TABLE_POWER, t_idle_max=threshold(), t_off_min=threshold()))
+    nodes, n = graph.nodes, len(graph.nodes)
+    config = SimulationConfig(
+        num_paths=data.draw(st.integers(1, 4)),
+        beam_width=data.draw(st.integers(1, 4)),
+        idle_charge=data.draw(st.sampled_from(("once", "per_vnf"))),
+        validate_each_step=True,
+    )
+    algorithm = data.draw(st.sampled_from(ALGORITHMS))
+    sim = OnlineSimulation(config, graph)
+    p_max_total = sum(node.power.p_max for node in nodes)
+    for slot in range(data.draw(st.integers(3, 6))):
+        arrivals = drawn_requests(data, n, divisor, start_id=sim.next_id)
+        sim.next_id += len(arrivals)
+        sim.step(slot, arrivals, algorithm, 0)
+        rows = sim.fleet.timeline[-n:]
+        assert [(row[0], row[1]) for row in rows] == [(slot, i) for i in range(n)]
+        cpu = cpu_by_host(sim.running)
+        assert {i for _, i, mode, _ in rows if mode in ("on", "setup")} == set(cpu)
+        for _, i, mode, power in rows:
+            if mode == "on":
+                params = nodes[i].power
+                share = min(cpu[i], nodes[i].cpu) / nodes[i].cpu
+                assert power.hex() == (params.p_idle + share * (params.p_max - params.p_idle)).hex()
+        assert 0.0 <= sum(row[3] for row in rows) <= p_max_total
+    for i, node in enumerate(nodes):
+        modes = [row[2] for row in sim.fleet.timeline[i::n]]
+        idle_run = 0
+        for s, mode in enumerate(modes):
+            idle_run = idle_run + 1 if mode == "idle" else 0
+            assert idle_run <= node.power.t_idle_max
+            if mode == "setup":
+                off_start = s
+                while off_start > 0 and modes[off_start - 1].startswith("off"):
+                    off_start -= 1
+                assert off_start < s
+                assert s - off_start >= node.power.t_off_min
+
+
+class TestDrawnOnlineRuns:
+    @pytest.mark.parametrize("divisor", [1, 10])
+    @settings(derandomize=True, max_examples=50, deadline=None, database=None)
+    @given(data=st.data())
+    def test_fleet_timeline_is_legal_and_draws_the_held_load(self, divisor, data):
+        assert_drawn_online_run_is_legal(data, divisor)
 
 
 class TestTaguchi:

@@ -40,14 +40,8 @@ def drawn_game(data, divisor=10):
     numbers ten times as large; servers take every mode, and the requests mix
     single- and multi-slot durations.
     """
-    amount = lambda lo, hi: data.draw(st.integers(lo, hi)) / divisor
-    n = data.draw(st.integers(2, 7))
-    nodes = [SatelliteNode(amount(50, 150), amount(50, 150), TABLE_POWER) for _ in range(n)]
-    links = [
-        Link(i, (i + 1) % n, amount(50, 400), float(data.draw(st.integers(1, 4))), 1.0)
-        for i in range(n if n > 2 else 1)
-    ]
-    graph = NetworkGraph(nodes, links)
+    graph = drawn_ring(data, divisor)
+    n = len(graph.nodes)
     context = idle_context(graph, slot=2, idle_charge=data.draw(st.sampled_from(("once", "per_vnf"))))
     for i in range(n):
         mode = data.draw(st.sampled_from(MODES))
@@ -58,6 +52,18 @@ def drawn_game(data, divisor=10):
     requests = drawn_requests(data, n, divisor)
     config = SimulationConfig(num_paths=data.draw(st.integers(1, 4)), beam_width=data.draw(st.integers(1, 4)))
     return requests, graph, context, config
+
+
+def drawn_ring(data, divisor, power=lambda: TABLE_POWER):
+    """`drawn_game`'s 2-7-node ring; each node's power parameters come from `power()`."""
+    amount = lambda lo, hi: data.draw(st.integers(lo, hi)) / divisor
+    n = data.draw(st.integers(2, 7))
+    nodes = [SatelliteNode(amount(50, 150), amount(50, 150), power()) for _ in range(n)]
+    links = [
+        Link(i, (i + 1) % n, amount(50, 400), float(data.draw(st.integers(1, 4))), 1.0)
+        for i in range(n if n > 2 else 1)
+    ]
+    return NetworkGraph(nodes, links)
 
 
 def drawn_requests(data, n, divisor, start_id=0):
