@@ -118,7 +118,10 @@ class ContextView:
     it is made, and `tally` sums the loads that `check_feasibility` and the
     on-line server fleet read.  Behind each flag list is a per-node count of
     the VNFs that set it (``serving``, ``idling``), so a flag clears when its
-    last holder leaves.
+    last holder leaves.  The flags start `False`, and `settle` sets only the
+    nodes it is given, because `hold` changes counts only at a strategy's
+    hosts: `build` settles every node, a kept view the nodes its catch-up
+    moved, and a one-pass round the hosts of each placement.
     """
 
     __slots__ = (
@@ -126,8 +129,8 @@ class ContextView:
     )
 
     def __init__(self, graph: NetworkGraph, context: SlotContext):
-        """A view that holds nothing: every free value at its capacity.  The
-        flags are unset until `settle`."""
+        """A view that holds nothing: every free value at its capacity and
+        every flag `False`."""
         n = len(graph.nodes)
         self.free_cpu = [node.cpu for node in graph.nodes]
         self.free_mem = [node.memory for node in graph.nodes]
@@ -135,6 +138,8 @@ class ContextView:
         self.mode = [context.server_states[i].mode for i in range(n)]
         self.serving = [0] * n
         self.idling = [0] * n
+        self.serves_next = [False] * n
+        self.idle_charged = [False] * n
         self.idle_charge = context.idle_charge
 
     @classmethod
@@ -160,13 +165,14 @@ class ContextView:
                 continue
             request = profile.requests[rid]
             view.hold(request, strategy, request.duration_slots >= 2)
-        view.settle()
+        view.settle(range(len(graph.nodes)))
         return view
 
     def hold(self, request: UserRequest, strategy: Strategy, keeps_running: bool, sign: int = 1) -> None:
         """Take (``sign`` 1) or give back (-1) the cpu and memory of the
         strategy's hosts, the bandwidth of its routes and its VNFs' counts
-        behind the flags; `settle` then sets the flags."""
+        behind the flags; counts change only at the strategy's hosts, so
+        `settle` on those hosts then sets the flags."""
         free_cpu, free_mem, free_bw = self.free_cpu, self.free_mem, self.free_bw
         mode, serving, idling = self.mode, self.serving, self.idling
         factor = float(sign)  # an int factor made a 12-node build 15% slower (2-vCPU host)
@@ -183,10 +189,12 @@ class ContextView:
             for link_index in route.links:
                 free_bw[link_index] -= factor * bandwidth
 
-    def settle(self) -> None:
-        """Set each node's flags from the counts that `hold` keeps."""
-        self.serves_next = [count > 0 for count in self.serving]
-        self.idle_charged = [count > 0 for count in self.idling]
+    def settle(self, nodes) -> None:
+        """Set the flags of each of `nodes` from the counts that `hold` keeps."""
+        serving, idling, serves_next, idle_charged = self.serving, self.idling, self.serves_next, self.idle_charged
+        for node in nodes:
+            serves_next[node] = serving[node] > 0
+            idle_charged[node] = idling[node] > 0
 
 
 # -- cost components -------------------------------------------------------

@@ -18,10 +18,12 @@ searches: the outcome of the capacity and bandwidth tests they made and the
 server flags their power rule read.  A best response whose certificate holds
 for the caught-up view is not computed again; its stored result is what the
 kernel would return, because the certificate replays the kernel's own
-comparisons.  Server modes, the graph, the requests and the config are fixed
-within one call and the memo dies with it, so no view or result crosses
-slots.  `is_nash` runs uncached, so it checks the cached dynamics
-independently.
+comparisons.  The check tests only the nodes and links that catch-up
+moved, the hosts and route links of the strategies it gave back and took,
+since every other test passed before on the values it still reads.  Server
+modes, the graph, the requests and the config are fixed within one call and
+the memo dies with it, so no view or result crosses slots.  `is_nash` runs
+uncached, so it checks the cached dynamics independently.
 """
 
 from __future__ import annotations

@@ -168,7 +168,7 @@ def _allocate(algorithm, requests, graph, context, config: SimulationConfig):
         if strategy is not None:
             profile.strategies[rid] = strategy
             view.hold(request, strategy, request.duration_slots >= 2)
-            view.settle()
+            view.settle(strategy.hosts)
     return profile, 1
 
 

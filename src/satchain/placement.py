@@ -85,6 +85,12 @@ class Certificate:
     without changing the beam, while a bandwidth pass that flips could pick a
     later route with a better payoff.  One certificate serves all corridor
     runs of a best response, which share expansions.
+
+    `seal` groups the tests by kind and index, each group with the free
+    value seen at seal, and the read flags by node.  `holds` tests only the
+    nodes and links a kept view's catch-up moved: a certificate lives on only
+    while its checks pass, and catch-up is the only writer of a kept view, so
+    every index left out still reads what it passed with last.
     """
 
     __slots__ = ("cpu", "mem", "bw", "flagged", "tests", "flags")
@@ -102,27 +108,44 @@ class Certificate:
         return bounds
 
     def seal(self, view: ContextView) -> None:
-        """Keep the tested bounds with `view`'s free values, and the read flags."""
-        frees = (view.free_cpu, view.free_mem, view.free_bw)
-        self.tests = [
-            (kind, index, need, frees[kind][index], largest, smallest)
-            for kind, by_need in enumerate((self.cpu, self.mem, self.bw))
-            for need, (passed, blocked) in by_need.items()
-            for index, (largest, smallest) in enumerate(zip(passed, blocked))
-            if largest != _UNTESTED_PASS or smallest != _UNTESTED_BLOCK
-        ]
-        self.flags = tuple((node, view.serves_next[node], view.idle_charged[node]) for node in self.flagged)
+        """Keep the tested bounds grouped by kind and index, each group with
+        the free value `view` gives it, and the read flags by node."""
+        self.tests = []
+        for by_need, frees in zip((self.cpu, self.mem, self.bw), (view.free_cpu, view.free_mem, view.free_bw)):
+            groups = {}
+            for need, (passed, blocked) in by_need.items():
+                for index, (largest, smallest) in enumerate(zip(passed, blocked)):
+                    if largest != _UNTESTED_PASS or smallest != _UNTESTED_BLOCK:
+                        group = groups.get(index)
+                        if group is None:
+                            group = groups[index] = (frees[index], [])
+                        group[1].append((need, largest, smallest))
+            self.tests.append(groups)
+        self.flags = {node: (view.serves_next[node], view.idle_charged[node]) for node in self.flagged}
         self.cpu = self.mem = self.bw = self.flagged = None
 
-    def holds(self, view: ContextView) -> bool:
-        """True when kernel runs on `view` are certain to give the sealed results."""
-        frees = (view.free_cpu, view.free_mem, view.free_bw)
-        for kind, index, need, seen, passed, blocked in self.tests:
-            free = frees[kind][index]
-            if free != seen and (free - passed < need - 1e-9 or not free - blocked < need - 1e-9):
+    def holds(self, view: ContextView, nodes, links) -> bool:
+        """True when kernel runs on `view` are certain to give the sealed
+        results, where only `nodes` and `links` moved since the seal or the
+        last check that passed."""
+        kinds = zip(self.tests, (view.free_cpu, view.free_mem, view.free_bw), (nodes, nodes, links))
+        for groups, frees, indices in kinds:
+            for index in indices:
+                group = groups.get(index)
+                if group is None:
+                    continue
+                seen, tests = group
+                free = frees[index]
+                if free != seen:
+                    for need, passed, blocked in tests:
+                        if free - passed < need - 1e-9 or not free - blocked < need - 1e-9:
+                            return False
+        flags, serves_next, idle_charged = self.flags, view.serves_next, view.idle_charged
+        for node in nodes:
+            read = flags.get(node)
+            if read is not None and read != (serves_next[node], idle_charged[node]):
                 return False
-        serves_next, idle_charged = view.serves_next, view.idle_charged
-        return all(serves_next[node] == serves and idle_charged[node] == charged for node, serves, charged in self.flags)
+        return True
 
 
 def _beam_search(
@@ -353,9 +376,10 @@ class _Kept:
     response of its last search.
 
     The view catches up by itself: each other request whose strategy is not
-    the one it reflects gives that back and takes the new one.  This is exact
-    only when the slot is `whole` (see `_whole_numbers`); otherwise a stale
-    view is built afresh.
+    the one it reflects gives that back and takes the new one, and only the
+    hosts of those strategies are settled.  This is exact only when the slot
+    is `whole` (see `_whole_numbers`); otherwise a stale view is built
+    afresh.
     """
 
     __slots__ = ("view", "seen", "whole", "certificate", "best")
@@ -365,26 +389,31 @@ class _Kept:
         self.seen = dict(profile.strategies)
         self.whole = whole
 
-    def catch_up(self, graph: NetworkGraph, profile: StrategyProfile, request_id: int) -> None:
-        stale = False
+    def catch_up(self, graph: NetworkGraph, profile: StrategyProfile, request_id: int) -> tuple:
+        """Bring the view up to date; returns the (nodes, links) it moved:
+        the hosts and route links of each strategy given back or taken, or
+        every node and link when the view was built afresh."""
+        nodes, links = set(), set()
         for rid, strategy in profile.strategies.items():
             old = self.seen[rid]
             if strategy is old or rid == request_id:
                 continue
             self.seen[rid] = strategy
-            stale = True
-            if self.whole:
-                request = profile.requests[rid]
-                keeps_running = request.duration_slots >= 2
-                if old.allocated:
-                    self.view.hold(request, old, keeps_running, -1)
-                if strategy.allocated:
-                    self.view.hold(request, strategy, keeps_running)
-        if stale:
-            if self.whole:
-                self.view.settle()
-            else:
-                self.view = ContextView.build(graph, profile, exclude=request_id)
+            request = profile.requests[rid]
+            keeps_running = request.duration_slots >= 2
+            for sign, moved in ((-1, old), (1, strategy)):
+                if moved.allocated:
+                    nodes.update(moved.hosts)
+                    for route in moved.routes:
+                        links.update(route.links)
+                    if self.whole:
+                        self.view.hold(request, moved, keeps_running, sign)
+        if self.whole:
+            self.view.settle(nodes)
+        elif nodes:
+            self.view = ContextView.build(graph, profile, exclude=request_id)
+            return range(len(graph.nodes)), range(len(graph.links))
+        return nodes, links
 
 
 def best_response(
@@ -425,8 +454,8 @@ def best_response(
             whole = next(iter(memo.values())).whole if memo else _whole_numbers(graph, profile)
             kept = _Kept(graph, profile, request.id, whole)
         else:
-            kept.catch_up(graph, profile, request.id)
-            if kept.certificate.holds(kept.view):
+            nodes, links = kept.catch_up(graph, profile, request.id)
+            if kept.certificate.holds(kept.view, nodes, links):
                 return kept.best
         view = kept.view
         certificate = Certificate()

@@ -50,7 +50,7 @@ def slot_runs(monkeypatch, leg) -> list:
     return runs
 
 
-def never_holds(self, view):
+def never_holds(self, view, nodes, links):
     return False
 
 
@@ -82,7 +82,8 @@ def differing_slots(monkeypatch, leg, searched_again) -> int:
 def test_reuse_matches_searching_every_corridor_again(monkeypatch, searched_again):
     reused = []
     holds = placement.Certificate.holds
-    monkeypatch.setattr(placement.Certificate, "holds", lambda self, view: reused.append(1) or holds(self, view))
+    counted = lambda self, view, nodes, links: reused.append(1) or holds(self, view, nodes, links)
+    monkeypatch.setattr(placement.Certificate, "holds", counted)
     assert [differing_slots(monkeypatch, leg, searched_again) for leg in GRID] == [0] * len(GRID)
     assert len(reused) > 1000  # the comparison exercised reuse, not only fresh searches
 

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satchain.costing import (
     ContextView,
@@ -11,13 +13,14 @@ from satchain.costing import (
     check_feasibility,
     network_payoff,
 )
-from satchain.game import is_nash, pgra_run, potential_identity_check
+from satchain.game import EPSILON, is_nash, pgra_run, potential_identity_check
 from satchain.harness import SimulationConfig
 from satchain.placement import best_response, viterbi_place
 from satchain.workload import generate_requests
 
 from conftest import idle_context, make_graph, make_request
 from oracles import enumerate_request_strategies
+from test_placement import drawn_game
 
 
 def small_config(num_paths=4, beam=4):
@@ -151,3 +154,47 @@ class TestPotentialIdentity:
                 alt = Strategy.unallocated(rid)
             worst = max(worst, potential_identity_check(profile, rid, alt))
         assert worst <= 1e-12
+
+
+def assert_game_guarantees_on_a_drawn_game(data, divisor):
+    """On one `drawn_game`: every committed profile is feasible, the trace
+    rows chain with each commit raising the network payoff by the winner's
+    improvement, the run converges to a profile that `is_nash` (which runs
+    uncached) accepts, and a drawn unilateral deviation moves the network
+    payoff by exactly the deviator's payoff change."""
+    requests, graph, context, config = drawn_game(data, divisor)
+    commits = []
+
+    def on_commit(profile):
+        assert check_feasibility(profile, graph) == []
+        commits.append(network_payoff(profile))
+
+    profile, trace = pgra_run(requests, graph, context, config, on_commit=on_commit)
+    assert trace.converged and is_nash(profile, graph, config)
+    rows = trace.rows
+    assert [row.iteration for row in rows] == list(range(len(rows)))
+    assert rows[0].phi_before == 0.0 and rows[-1].phi_after == network_payoff(profile)
+    assert [row.phi_after for row in rows[:-1]] == commits
+    for row, following in zip(rows, rows[1:]):
+        assert row.winner is not None and following.phi_before == row.phi_after
+        assert row.improvement > EPSILON and row.phi_after > row.phi_before
+        assert abs((row.phi_after - row.phi_before) - row.improvement) <= 1e-12
+    request = data.draw(st.sampled_from(requests))
+    paths = graph.candidate_sd_paths(request.source, request.destination, config.num_paths)
+    view = ContextView.build(graph, profile, exclude=request.id)
+    alternative = viterbi_place(request, data.draw(st.sampled_from(paths)), view, graph, config)
+    if alternative is None:
+        alternative = Strategy.unallocated(request.id)
+    assert potential_identity_check(profile, request.id, alternative) <= 1e-12
+
+
+class TestDrawnGames:
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(st.data())
+    def test_guarantees_hold_on_drawn_games_of_whole_numbers(self, data):
+        assert_game_guarantees_on_a_drawn_game(data, divisor=1)
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(st.data())
+    def test_guarantees_hold_on_drawn_games_of_tenths(self, data):
+        assert_game_guarantees_on_a_drawn_game(data, divisor=10)

@@ -119,11 +119,11 @@ def assert_best_responses_match_independent_runs(requests, graph, context, confi
             profile.strategies[request.id] = expected
 
 
-def assert_kept_views_match_fresh_builds(data, divisor):
+def interleave_memo_calls(data, divisor, check):
     """Interleave memo'd best responses with direct writes to the profile:
     commits, drops to unallocated and restores of an earlier strategy.  After
-    each memo'd call, the request's kept view must equal a fresh build, its
-    free values bit for bit."""
+    each memo'd call, ``check(kept, graph, profile, request)`` runs on the
+    request's memo entry."""
     requests, graph, context, config = drawn_game(data, divisor)
     profile = StrategyProfile.empty(requests, context)
     memo, given = {}, {r.id: [] for r in requests}
@@ -132,9 +132,7 @@ def assert_kept_views_match_fresh_builds(data, divisor):
         action = data.draw(st.sampled_from(("respond", "respond", "commit", "drop", "restore")))
         if action == "respond":
             best_response(request, profile, graph, config, memo)
-            kept = memo[request.id]
-            assert kept.whole or divisor != 1
-            assert_same_view(kept.view, ContextView.build(graph, profile, exclude=request.id))
+            check(memo[request.id], graph, profile, request)
         elif action == "commit":
             strategy = best_response(request, profile, graph, config)
             if strategy is not None:
@@ -144,6 +142,43 @@ def assert_kept_views_match_fresh_builds(data, divisor):
             profile.strategies[request.id] = Strategy.unallocated(request.id)
         elif given[request.id]:
             profile.strategies[request.id] = data.draw(st.sampled_from(given[request.id]))
+
+
+def assert_kept_views_match_fresh_builds(data, divisor):
+    """After each memo'd call of `interleave_memo_calls`, the request's kept
+    view must equal a fresh build, its free values bit for bit."""
+
+    def check(kept, graph, profile, request):
+        assert kept.whole or divisor != 1
+        assert_same_view(kept.view, ContextView.build(graph, profile, exclude=request.id))
+
+    interleave_memo_calls(data, divisor, check)
+
+
+def assert_moved_sets_cover_every_change(data, divisor):
+    """At each catch-up of `interleave_memo_calls`, the nodes and links it
+    names as moved must contain every node and link whose free value or flag
+    differs from the view before the call, and the certificate must hold on
+    the moved sets exactly when it holds on every node and link."""
+    catch_up = placement._Kept.catch_up
+    per_node = ("free_cpu", "free_mem", "serves_next", "idle_charged")
+
+    def checked(kept, graph, profile, request_id):
+        before = {name: list(getattr(kept.view, name)) for name in (*per_node, "free_bw")}
+        nodes, links = catch_up(kept, graph, profile, request_id)
+        view = kept.view
+        changed_nodes = {
+            i for name in per_node for i, value in enumerate(getattr(view, name)) if value != before[name][i]
+        }
+        changed_links = {k for k, free in enumerate(view.free_bw) if free != before["free_bw"][k]}
+        assert changed_nodes <= set(nodes) and changed_links <= set(links)
+        every = range(len(graph.nodes)), range(len(graph.links))
+        assert kept.certificate.holds(view, nodes, links) == kept.certificate.holds(view, *every)
+        return nodes, links
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(placement._Kept, "catch_up", checked)
+        interleave_memo_calls(data, divisor, lambda *args: None)
 
 
 def empty_profile(graph, context, *requests):
@@ -224,7 +259,7 @@ class TestViterbiPlace:
         requests, graph, context, config = drawn_game(data)
         profile, trace = pgra_run(requests, graph, context, config)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(placement.Certificate, "holds", lambda self, view: False)
+            patch.setattr(placement.Certificate, "holds", lambda self, view, nodes, links: False)
             searched, searched_trace = pgra_run(requests, graph, context, config)
         assert trace.rows == searched_trace.rows
         assert profile.strategies == searched.strategies
@@ -253,7 +288,7 @@ class TestViterbiPlace:
                 certificate = placement.Certificate()
                 got = viterbi_place(request, path, view, graph, config, certificate)
                 certificate.seal(view)
-                if certificate.holds(shifted):
+                if certificate.holds(shifted, range(len(graph.nodes)), range(len(graph.links))):
                     assert viterbi_place(request, path, shifted, graph, config) == got
 
     def test_certificate_replays_the_kernels_rounding(self):
@@ -268,7 +303,7 @@ class TestViterbiPlace:
         certificate.seal(view)
         view.free_cpu = [0.499999999]
         assert viterbi_place(request, path, view, graph, SimulationConfig()) is None
-        assert not certificate.holds(view)
+        assert not certificate.holds(view, range(len(graph.nodes)), range(len(graph.links)))
 
     def test_second_route_when_first_lacks_link_headroom(self):
         # only node 2 can host; going out on 0-1-2 leaves 5 of 15 units on those
@@ -386,6 +421,16 @@ class TestBestResponse:
     @given(st.data())
     def test_kept_view_of_tenths_matches_a_fresh_build(self, data):
         assert_kept_views_match_fresh_builds(data, divisor=10)
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(st.data())
+    def test_catch_up_names_every_change_of_a_kept_view(self, data):
+        assert_moved_sets_cover_every_change(data, divisor=1)
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(st.data())
+    def test_catch_up_names_every_change_of_a_view_of_tenths(self, data):
+        assert_moved_sets_cover_every_change(data, divisor=10)
 
     def test_pgra_run_builds_each_request_view_once(self, monkeypatch):
         config = SimulationConfig().with_nodes(12)
