@@ -17,7 +17,7 @@ graph = config.build_graph()
 
 # All servers idle at the start of the slot.
 states = {i: ServerState(Mode.IDLE, idle_since=0) for i in range(len(graph.nodes))}
-context = SlotContext(slot=0, server_states=states, committed=[], idle_charge="once")
+context = SlotContext(slot=0, server_states=states, committed=[])
 
 request = generate_requests(1, graph, config.ranges, rng_seed=424, d=config.num_paths)[0]
 real = [v for v in request.vnfs if not v.is_pseudo]

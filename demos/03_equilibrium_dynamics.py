@@ -10,7 +10,7 @@ from satchain.energy import Mode, ServerState
 config = SimulationConfig()
 graph = config.build_graph()
 states = {i: ServerState(Mode.IDLE, idle_since=0) for i in range(len(graph.nodes))}
-context = SlotContext(0, states, [], "once")
+context = SlotContext(0, states, [])
 
 requests = generate_requests(12, graph, config.ranges, rng_seed=7, d=config.num_paths)
 profile, trace = pgra_run(requests, graph, context, config)

@@ -11,7 +11,7 @@ import math
 from dataclasses import replace
 
 from .costing import ContextView, Strategy, StrategyProfile, check_feasibility
-from .energy import PowerParams, ServerFleet
+from .energy import ServerFleet
 from .game import is_nash, pgra_run, potential_identity_check
 from .harness import OnlineSimulation, SimulationConfig, run_online
 from .placement import best_response, viterbi_place
@@ -125,15 +125,14 @@ def check_feasibility_invariance(
 
 def check_server_lifecycle(seed: int = 0) -> tuple:
     """The fleet's scripted idle-out, off and restart timeline; ``seed`` is unused."""
-    fleet = ServerFleet({0: PowerParams(49.9, 415.0, 3, 1)})
-    capacity = {0: 112.0}
+    fleet = ServerFleet([SimulationConfig().node()])  # 112 vCPU, 49.9/415 W, idle 3 slots, off 1
     fleet.mark_service({0})  # serving in slot 0
-    fleet.record(0, {0: 8.0}, capacity)
+    fleet.record(0, {0: 8.0})
     for slot in (1, 2, 3, 4, 5):
         fleet.advance(set(), slot)
-        fleet.record(slot, {}, capacity)
+        fleet.record(slot, {})
     fleet.mark_service({0})  # restarts during slot 5
-    fleet.record(5, {0: 8.0}, capacity)
+    fleet.record(5, {0: 8.0})
     expected = [
         (0, 0, "on", 49.9 + (8.0 / 112.0) * 365.1),
         (1, 0, "idle", 49.9),

@@ -12,10 +12,14 @@ payoff difference.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .energy import IDLE, OFF_AVAILABLE, OFF_UNAVAILABLE, vnf_power_attribution
 from .topology import NetworkGraph
 from .workload import UserRequest, check_types
+
+if TYPE_CHECKING:
+    from .harness import SimulationConfig
 
 
 @dataclass(frozen=True)
@@ -85,7 +89,6 @@ class SlotContext:
     slot: int
     server_states: dict  # node -> ServerState
     committed: list = field(default_factory=list)  # CommittedPlacement, still running
-    idle_charge: str = "once"  # or "per_vnf"
 
 
 @dataclass
@@ -116,21 +119,17 @@ class ContextView:
     with it, a view kept across a `pgra_run` gives a replaced strategy back
     and takes its successor, a one-pass round's view takes each placement as
     it is made, and `tally` sums the loads that `check_feasibility` and the
-    on-line server fleet read.  Behind each flag list is a per-node count of
-    the VNFs that set it (``serving``, ``idling``), so a flag clears when its
-    last holder leaves.  The flags start `False`, and `settle` sets only the
-    nodes it is given, because `hold` changes counts only at a strategy's
-    hosts: `build` settles every node, a kept view the nodes its catch-up
-    moved, and a one-pass round the hosts of each placement.
+    on-line server fleet read.  A node's server flags are its holder counts:
+    ``serving[node]`` counts the held VNFs there that keep running into the
+    next slot and ``idling[node]`` those on an idle server, so a node serves
+    next slot, or has its idle baseline paid, while its count is above 0.
     """
 
-    __slots__ = (
-        "free_cpu", "free_mem", "free_bw", "mode", "serves_next", "idle_charged", "idle_charge", "serving", "idling"
-    )
+    __slots__ = ("free_cpu", "free_mem", "free_bw", "mode", "serving", "idling")
 
     def __init__(self, graph: NetworkGraph, context: SlotContext):
         """A view that holds nothing: every free value at its capacity and
-        every flag `False`."""
+        every count 0."""
         n = len(graph.nodes)
         self.free_cpu = [node.cpu for node in graph.nodes]
         self.free_mem = [node.memory for node in graph.nodes]
@@ -138,9 +137,6 @@ class ContextView:
         self.mode = [context.server_states[i].mode for i in range(n)]
         self.serving = [0] * n
         self.idling = [0] * n
-        self.serves_next = [False] * n
-        self.idle_charged = [False] * n
-        self.idle_charge = context.idle_charge
 
     @classmethod
     def tally(cls, graph: NetworkGraph, context: SlotContext, held) -> "ContextView":
@@ -165,14 +161,12 @@ class ContextView:
                 continue
             request = profile.requests[rid]
             view.hold(request, strategy, request.duration_slots >= 2)
-        view.settle(range(len(graph.nodes)))
         return view
 
     def hold(self, request: UserRequest, strategy: Strategy, keeps_running: bool, sign: int = 1) -> None:
         """Take (``sign`` 1) or give back (-1) the cpu and memory of the
-        strategy's hosts, the bandwidth of its routes and its VNFs' counts
-        behind the flags; counts change only at the strategy's hosts, so
-        `settle` on those hosts then sets the flags."""
+        strategy's hosts, the bandwidth of its routes and its VNFs' holder
+        counts, which change only at the strategy's hosts."""
         free_cpu, free_mem, free_bw = self.free_cpu, self.free_mem, self.free_bw
         mode, serving, idling = self.mode, self.serving, self.idling
         factor = float(sign)  # an int factor made a 12-node build 15% slower (2-vCPU host)
@@ -188,13 +182,6 @@ class ContextView:
         for bandwidth, route in zip(request.bandwidths, strategy.routes):
             for link_index in route.links:
                 free_bw[link_index] -= factor * bandwidth
-
-    def settle(self, nodes) -> None:
-        """Set the flags of each of `nodes` from the counts that `hold` keeps."""
-        serving, idling, serves_next, idle_charged = self.serving, self.idling, self.serves_next, self.idle_charged
-        for node in nodes:
-            serves_next[node] = serving[node] > 0
-            idle_charged[node] = idling[node] > 0
 
 
 # -- cost components -------------------------------------------------------
@@ -220,13 +207,14 @@ def delay_cost(strategy: Strategy, request: UserRequest) -> float:
     return total / request.max_delay
 
 
-def energy_cost(strategy: Strategy, request: UserRequest, graph: NetworkGraph, view: ContextView) -> float:
+def energy_cost(
+    strategy: Strategy, request: UserRequest, graph: NetworkGraph, view: ContextView, idle_charge: str
+) -> float:
     """Power charged to the request's VNFs, walked in chain order, over the
     network's total peak power.
 
     On an idle server the baseline draw is charged to the first VNF landing
-    there this slot (across requests) unless the view was built with
-    ``idle_charge == 'per_vnf'``.
+    there this slot (across requests) unless ``idle_charge == 'per_vnf'``.
     """
     total = 0.0
     idle_paid = set()
@@ -237,8 +225,8 @@ def energy_cost(strategy: Strategy, request: UserRequest, graph: NetworkGraph, v
         host = strategy.hosts[i]
         node = graph.nodes[host]
         mode = view.mode[host]
-        serves = serves_self or view.serves_next[host]
-        already = view.idle_charged[host] or host in idle_paid
+        serves = serves_self or view.serving[host] > 0
+        already = view.idling[host] > 0 or host in idle_paid
         total += vnf_power_attribution(
             mode,
             serves,
@@ -246,7 +234,7 @@ def energy_cost(strategy: Strategy, request: UserRequest, graph: NetworkGraph, v
             node.cpu,
             node.power,
             idle_already_charged=already,
-            idle_charge=view.idle_charge,
+            idle_charge=idle_charge,
         )
         if mode is IDLE and not serves:
             idle_paid.add(host)
@@ -263,14 +251,15 @@ def evaluate_strategy(
     routes: tuple,
     graph: NetworkGraph,
     view: ContextView,
-    weights: Weights,
+    config: SimulationConfig,
 ) -> CostBreakdown:
-    """Canonical cost breakdown of a complete placement."""
+    """Canonical cost breakdown of a complete placement under the config's
+    weights and idle rule."""
     probe = Strategy(request.id, hosts, routes)
     bw = bandwidth_cost(probe, request, graph)
-    power = energy_cost(probe, request, graph, view)
+    power = energy_cost(probe, request, graph, view, config.idle_charge)
     delay = delay_cost(probe, request)
-    return CostBreakdown(bw, power, delay, user_payoff(bw, power, delay, weights))
+    return CostBreakdown(bw, power, delay, user_payoff(bw, power, delay, config.weights))
 
 
 def network_payoff(profile: StrategyProfile) -> float:

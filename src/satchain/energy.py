@@ -130,19 +130,21 @@ class ServerFleet:
     (slot, node, mode, power).  The power is the server's physical draw, not
     a VNF charge: an ``on`` server draws its idle baseline plus its CPU share
     of the dynamic range, an idle one its baseline and an off one nothing.  A
-    restart slot is recorded as mode ``setup`` at maximum power.
+    restart slot is recorded as mode ``setup`` at maximum power.  Server
+    ``n`` is ``nodes[n]``, a graph's satellite, whose CPU capacity and power
+    parameters the fleet reads.
     """
 
-    def __init__(self, params_by_node: dict[int, PowerParams]):
-        self.params = params_by_node
-        self.states: dict[int, ServerState] = {n: ServerState(IDLE, idle_since=0) for n in params_by_node}
+    def __init__(self, nodes: list):
+        self.nodes = nodes
+        self.states: dict[int, ServerState] = {n: ServerState(IDLE, idle_since=0) for n in range(len(nodes))}
         self._setup_nodes: set[int] = set()
         self.timeline: list[tuple[int, int, str, float]] = []
 
     def advance(self, occupied: set[int], slot: int) -> None:
         self._setup_nodes = set()
         for n, state in self.states.items():
-            self.states[n] = step_server_state(state, self.params[n], n in occupied, slot)
+            self.states[n] = step_server_state(state, self.nodes[n].power, n in occupied, slot)
 
     def mark_service(self, nodes: set[int]) -> None:
         for n in nodes:
@@ -152,17 +154,17 @@ class ServerFleet:
                 raise IllegalTransition(f"node {n} cannot serve in this slot")
             self.states[n] = ServerState(ON)
 
-    def record(self, slot: int, allocated_cpu: dict[int, float], capacity_cpu: dict[int, float]) -> None:
+    def record(self, slot: int, allocated_cpu: dict[int, float]) -> None:
         for n in sorted(self.states):
-            mode, params = self.states[n].mode, self.params[n]
+            mode, params, capacity = self.states[n].mode, self.nodes[n].power, self.nodes[n].cpu
             setup = n in self._setup_nodes
             if setup:
                 power = params.p_max
             elif mode is ON:
                 cpu = allocated_cpu.get(n, 0.0)
-                if not 0 <= cpu <= capacity_cpu[n] + 1e-9:  # the tolerance `check_feasibility` allows
-                    raise ValueError(f"node {n}: allocation {cpu} outside [0, {capacity_cpu[n]}]")
-                power = params.p_idle + (min(cpu, capacity_cpu[n]) / capacity_cpu[n]) * (params.p_max - params.p_idle)
+                if not 0 <= cpu <= capacity + 1e-9:  # the tolerance `check_feasibility` allows
+                    raise ValueError(f"node {n}: allocation {cpu} outside [0, {capacity}]")
+                power = params.p_idle + (min(cpu, capacity) / capacity) * (params.p_max - params.p_idle)
             elif mode is IDLE:
                 power = params.p_idle
             else:

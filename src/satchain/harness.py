@@ -63,6 +63,9 @@ class SimulationConfig:
 
     def __post_init__(self):
         check_types(self)
+        for name in ("planes", "sats_per_plane", "intra_plane_km", "inter_plane_km", "link_bandwidth"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, not {getattr(self, name)}")
         if self.idle_charge not in ("once", "per_vnf"):
             raise ValueError("idle_charge must be 'once' or 'per_vnf'")
         if self.requests < 0:  # a zero-request batch still emits its one row
@@ -168,7 +171,6 @@ def _allocate(algorithm, requests, graph, context, config: SimulationConfig):
         if strategy is not None:
             profile.strategies[rid] = strategy
             view.hold(request, strategy, request.duration_slots >= 2)
-            view.settle(strategy.hosts)
     return profile, 1
 
 
@@ -223,14 +225,13 @@ class OnlineSimulation:
     def __init__(self, config: SimulationConfig, graph: NetworkGraph | None = None):
         self.config = replace(config)  # checks again any field assigned after construction
         self.graph = graph if graph is not None else self.config.build_graph()
-        self.fleet = ServerFleet(dict(enumerate(node.power for node in self.graph.nodes)))
-        self._capacity_cpu = dict(enumerate(node.cpu for node in self.graph.nodes))
+        self.fleet = ServerFleet(self.graph.nodes)
         self.running: list = []
         self.next_id = 0
 
     def context(self, slot: int) -> SlotContext:
         """What a placement decision in `slot` sees: server states and the running set."""
-        return SlotContext(slot, dict(self.fleet.states), list(self.running), self.config.idle_charge)
+        return SlotContext(slot, dict(self.fleet.states), list(self.running))
 
     def step(self, slot: int, new_requests: list, algorithm: str, seed: int) -> SlotMetrics:
         self.running = [p for p in self.running if p.end_slot >= slot]
@@ -246,7 +247,7 @@ class OnlineSimulation:
             tally.hold(request, strategy, False)
         allocated_cpu = {host: -free for host, free in enumerate(tally.free_cpu) if free}
         self.fleet.mark_service(set(allocated_cpu))
-        self.fleet.record(slot, allocated_cpu, self._capacity_cpu)
+        self.fleet.record(slot, allocated_cpu)
         return _metrics(profile, slot, algorithm, seed, iterations)
 
 

@@ -67,19 +67,19 @@ class Certificate:
     show that runs on a later view would return the same results.
 
     The kernel reads a view only through capacity and bandwidth tests
-    ``free - used < need - 1e-9`` and the ``serves_next``/``idle_charged``
-    flags of nodes where its power rule depends on them (a single-slot
-    request on an off-available or idle server).  All else it reads (server
-    modes, the graph, the request, the config, the delay test) is fixed
-    within one `pgra_run`, which owns the memo that keeps certificates, so none
-    crosses slots.
+    ``free - used < need - 1e-9`` and, where its power rule depends on them
+    (a single-slot request on an off-available or idle server), whether a
+    node's ``serving`` and ``idling`` counts are above 0.  All else it reads
+    (server modes, the graph, the request, the config, the delay test) is
+    fixed within one `pgra_run`, which owns the memo that keeps certificates,
+    so none crosses slots.
 
     While the kernel runs, `cpu`, `mem` and `bw` map each need to two lists
     over node or link index: the largest ``used`` that passed and the
     smallest that blocked (-inf and inf where none did; no check fails on
     them).  For fixed ``free`` and ``need`` the rounded ``free - used`` never
     rises as ``used`` rises, so if those two still pass and block, so does
-    every recorded test.  Every block, bandwidth pass and flag read is
+    every recorded test.  Every block, bandwidth pass and count read is
     recorded, but a capacity pass only when its expansion becomes a beam
     state: an expansion that truncation dropped can vanish on a later view
     without changing the beam, while a bandwidth pass that flips could pick a
@@ -87,10 +87,11 @@ class Certificate:
     runs of a best response, which share expansions.
 
     `seal` groups the tests by kind and index, each group with the free
-    value seen at seal, and the read flags by node.  `holds` tests only the
-    nodes and links a kept view's catch-up moved: a certificate lives on only
-    while its checks pass, and catch-up is the only writer of a kept view, so
-    every index left out still reads what it passed with last.
+    value seen at seal, and keeps ``(serving > 0, idling > 0)`` of each read
+    node.  `holds` tests only the nodes and links a kept view's catch-up
+    moved: a certificate lives on only while its checks pass, and catch-up is
+    the only writer of a kept view, so every index left out still reads what
+    it passed with last.
     """
 
     __slots__ = ("cpu", "mem", "bw", "flagged", "tests", "flags")
@@ -109,7 +110,8 @@ class Certificate:
 
     def seal(self, view: ContextView) -> None:
         """Keep the tested bounds grouped by kind and index, each group with
-        the free value `view` gives it, and the read flags by node."""
+        the free value `view` gives it, and whether each read node's counts
+        are above 0."""
         self.tests = []
         for by_need, frees in zip((self.cpu, self.mem, self.bw), (view.free_cpu, view.free_mem, view.free_bw)):
             groups = {}
@@ -121,7 +123,7 @@ class Certificate:
                             group = groups[index] = (frees[index], [])
                         group[1].append((need, largest, smallest))
             self.tests.append(groups)
-        self.flags = {node: (view.serves_next[node], view.idle_charged[node]) for node in self.flagged}
+        self.flags = {node: (view.serving[node] > 0, view.idling[node] > 0) for node in self.flagged}
         self.cpu = self.mem = self.bw = self.flagged = None
 
     def holds(self, view: ContextView, nodes, links) -> bool:
@@ -140,10 +142,10 @@ class Certificate:
                     for need, passed, blocked in tests:
                         if free - passed < need - 1e-9 or not free - blocked < need - 1e-9:
                             return False
-        flags, serves_next, idle_charged = self.flags, view.serves_next, view.idle_charged
+        flags, serving, idling = self.flags, view.serving, view.idling
         for node in nodes:
             read = flags.get(node)
-            if read is not None and read != (serves_next[node], idle_charged[node]):
+            if read is not None and read != (serving[node] > 0, idling[node] > 0):
                 return False
         return True
 
@@ -182,10 +184,10 @@ def _beam_search(
     max_delay = request.max_delay
     serves_self = request.duration_slots >= 2
     # idle ownership only matters for single-slot requests under once-only charging
-    track_idle = view.idle_charge == "once" and not serves_self
-    per_vnf = view.idle_charge == "per_vnf"
+    track_idle = config.idle_charge == "once" and not serves_self
+    per_vnf = config.idle_charge == "per_vnf"
     modes, free_cpu, free_mem, free_bw = view.mode, view.free_cpu, view.free_mem, view.free_bw
-    serves_next, idle_charged = view.serves_next, view.idle_charged
+    serving, idling = view.serving, view.idling  # holder counts, tested for truth
     p_idle, p_max, power_coeff = graph.p_idle, graph.p_max, graph.power_coeff
     flagged = cpu_passed = cpu_blocked = mem_passed = mem_blocked = bw_passed = bw_blocked = None
     if certificate is not None:
@@ -273,7 +275,7 @@ def _beam_search(
                     if mode is ON:
                         power_w += cpu * power_coeff[node_id]
                     else:
-                        serves = serves_self or serves_next[node_id]
+                        serves = serves_self or serving[node_id]
                         if flagged is not None and not serves_self:
                             flagged.add(node_id)
                         if mode is OFF_AVAILABLE:
@@ -281,7 +283,7 @@ def _beam_search(
                                 power_w += p_max[node_id]
                         else:  # idle: the baseline is due unless a later slot's service keeps the server on
                             power_w += cpu * power_coeff[node_id]
-                            if not serves and (per_vnf or not (idle_charged[node_id] or idle_paid[node_id])):
+                            if not serves and (per_vnf or not (idling[node_id] or idle_paid[node_id])):
                                 power_w += p_idle[node_id]
                                 pays_idle = not per_vnf
                 payoff = (
@@ -331,7 +333,7 @@ def _beam_search(
         beam = survivors
     best = beam[0]
     if best.strategy is None:
-        cost = evaluate_strategy(request, best.hosts, best.routes, graph, view, config.weights)
+        cost = evaluate_strategy(request, best.hosts, best.routes, graph, view, config)
         best.strategy = Strategy(request.id, best.hosts, best.routes, cost)
     return best.strategy
 
@@ -376,10 +378,10 @@ class _Kept:
     response of its last search.
 
     The view catches up by itself: each other request whose strategy is not
-    the one it reflects gives that back and takes the new one, and only the
-    hosts of those strategies are settled.  This is exact only when the slot
-    is `whole` (see `_whole_numbers`); otherwise a stale view is built
-    afresh.
+    the one it reflects gives that back and takes the new one, which moves
+    free values and holder counts at those strategies' hosts and links only.
+    This is exact only when the slot is `whole` (see `_whole_numbers`);
+    otherwise a stale view is built afresh.
     """
 
     __slots__ = ("view", "seen", "whole", "certificate", "best")
@@ -408,9 +410,7 @@ class _Kept:
                         links.update(route.links)
                     if self.whole:
                         self.view.hold(request, moved, keeps_running, sign)
-        if self.whole:
-            self.view.settle(nodes)
-        elif nodes:
+        if not self.whole and nodes:
             self.view = ContextView.build(graph, profile, exclude=request_id)
             return range(len(graph.nodes)), range(len(graph.links))
         return nodes, links

@@ -23,9 +23,9 @@ def ring_graph(n, delay=1.0, bandwidth=100.0):
     return make_graph(n, edges, bandwidth=bandwidth)
 
 
-def idle_context(graph, slot=0, idle_charge="once"):
+def idle_context(graph, slot=0):
     states = {i: ServerState(Mode.IDLE, idle_since=slot) for i in range(len(graph.nodes))}
-    return SlotContext(slot, states, [], idle_charge)
+    return SlotContext(slot, states, [])
 
 
 def make_request(
@@ -63,11 +63,12 @@ def random_micro_instance(rng, nodes=(3, 5)):
     """A small ring with mixed delays, light load, and one micro request.
 
     The ring has ``rng.integers(*nodes)`` satellites (two joined by one link).
-    Every server is in a random mode under a random idle-charging rule, and
-    the returned view also sets next-slot service and idle-baseline ownership
-    at random, so the kernel's power rule meets every case of
-    `vnf_power_attribution`.  ``rng`` needs only numpy's ``integers``.
-    Returns (graph, context, request, view).
+    Every server is in a random mode, and the returned view also sets the
+    holder counts behind next-slot service and idle-baseline ownership to
+    random values from 0 to 2, so the kernel's power rule meets every case of
+    `vnf_power_attribution` and a count above 1.  The idle-charging rule is
+    drawn too, for the caller's config.  ``rng`` needs only numpy's
+    ``integers``.  Returns (graph, context, request, view, idle_charge).
     """
     n = int(rng.integers(*nodes))
     delays = [float(rng.integers(1, 5)) for _ in range(n)]
@@ -77,7 +78,8 @@ def random_micro_instance(rng, nodes=(3, 5)):
         cpu=float(rng.integers(8, 20)),
         memory=64.0,
     )
-    context = idle_context(graph, slot=2, idle_charge=("once", "per_vnf")[int(rng.integers(2))])
+    idle_charge = ("once", "per_vnf")[int(rng.integers(2))]
+    context = idle_context(graph, slot=2)
     for i in range(n):
         mode = MODES[int(rng.integers(len(MODES)))]
         if mode is Mode.IDLE:
@@ -101,9 +103,9 @@ def random_micro_instance(rng, nodes=(3, 5)):
         duration=int(rng.integers(1, 3)),
     )
     view = ContextView.build(graph, StrategyProfile.empty([request], context), exclude=request.id)
-    view.serves_next = [bool(rng.integers(2)) for _ in range(n)]
-    view.idle_charged = [bool(rng.integers(2)) for _ in range(n)]
-    return graph, context, request, view
+    view.serving = [int(rng.integers(3)) for _ in range(n)]
+    view.idling = [int(rng.integers(3)) for _ in range(n)]
+    return graph, context, request, view, idle_charge
 
 
 @pytest.fixture

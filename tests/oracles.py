@@ -44,13 +44,14 @@ def all_simple_paths(graph, s, t):
     return found
 
 
-def enumerate_corridor_placements(request, corridor, view, graph, d, weights):
+def enumerate_corridor_placements(request, corridor, view, graph, config):
     """Every completable placement with hosts in ``corridor`` (endpoints pinned).
 
-    The route of each chain edge is the first ranked shortest path between
-    the hosts that fits the remaining bandwidth and the delay budget,
-    matching the documented strategy space.  Returns (cost, hosts, routes)
-    triples.
+    The route of each chain edge is the first of the ``config.num_paths``
+    ranked shortest paths between the hosts that fits the remaining
+    bandwidth and the delay budget, matching the documented strategy space.
+    Costs follow the config's weights and idle rule.  Returns (cost, hosts,
+    routes) triples.
     """
     corridor = sorted(corridor)
     vnfs = request.vnfs
@@ -59,7 +60,7 @@ def enumerate_corridor_placements(request, corridor, view, graph, d, weights):
     def recurse(stage, hosts, routes, delay, used_cpu, used_mem, used_bw):
         if stage == len(vnfs):
             hosts, routes = tuple(hosts), tuple(routes)
-            found.append((evaluate_strategy(request, hosts, routes, graph, view, weights), hosts, routes))
+            found.append((evaluate_strategy(request, hosts, routes, graph, view, config), hosts, routes))
             return
         vnf = vnfs[stage]
         bandwidth = request.bandwidths[stage - 1]
@@ -73,7 +74,7 @@ def enumerate_corridor_placements(request, corridor, view, graph, d, weights):
                 if view.free_mem[node_id] - used_mem.get(node_id, 0.0) < vnf.memory - 1e-9:
                     continue
             route = None
-            for candidate_route in graph.k_shortest_paths(hosts[-1], node_id, d):
+            for candidate_route in graph.k_shortest_paths(hosts[-1], node_id, config.num_paths):
                 if delay + candidate_route.total_delay + vnf.exec_time > request.max_delay:
                     break
                 need = {}
@@ -109,11 +110,11 @@ def enumerate_corridor_placements(request, corridor, view, graph, d, weights):
     return found
 
 
-def enumerate_best_placement(request, path, view, graph, d, weights):
+def enumerate_best_placement(request, path, view, graph, config):
     """Max-payoff placement over all host tuples in the candidate path's node
     set, ties to fewer hops then the smaller host tuple.  Returns (payoff,
     hosts, routes) or None."""
-    placements = enumerate_corridor_placements(request, set(path.nodes), view, graph, d, weights)
+    placements = enumerate_corridor_placements(request, set(path.nodes), view, graph, config)
     if not placements:
         return None
     cost, hosts, routes = min(
@@ -122,17 +123,17 @@ def enumerate_best_placement(request, path, view, graph, d, weights):
     return cost.payoff, hosts, routes
 
 
-def enumerate_request_strategies(request, profile, graph, d, weights):
+def enumerate_request_strategies(request, profile, graph, config):
     """Every completable placement of one request, as Strategy objects."""
     view = ContextView.build(graph, profile, exclude=request.id)
     strategies = []
     seen = set()
-    for path in graph.candidate_sd_paths(request.source, request.destination, d):
+    for path in graph.candidate_sd_paths(request.source, request.destination, config.num_paths):
         corridor = frozenset(path.nodes)
         if corridor in seen:
             continue
         seen.add(corridor)
-        for cost, hosts, routes in enumerate_corridor_placements(request, corridor, view, graph, d, weights):
+        for cost, hosts, routes in enumerate_corridor_placements(request, corridor, view, graph, config):
             strategies.append(Strategy(request.id, hosts, routes, cost))
     return strategies
 

@@ -19,7 +19,7 @@ from satchain.checks import (
     check_potential_identity,
     check_server_lifecycle,
 )
-from satchain.costing import ContextView, Strategy, StrategyProfile, Weights, bandwidth_cost
+from satchain.costing import ContextView, Strategy, StrategyProfile, bandwidth_cost
 from satchain.harness import SimulationConfig, run_batch, run_taguchi
 from satchain.placement import viterbi_place
 
@@ -50,13 +50,13 @@ def test_2_nash_convergence():
 def test_3_beam_search_matches_exhaustive_optimum():
     started = time.perf_counter()
     rng = np.random.default_rng(303)
-    config = SimulationConfig(num_paths=2, beam_width=None)
     compared = 0
     worst = 0.0
     while compared < 50:
-        graph, _, request, view = random_micro_instance(rng)
+        graph, _, request, view, idle_charge = random_micro_instance(rng)
+        config = SimulationConfig(num_paths=2, beam_width=None, idle_charge=idle_charge)
         for path in graph.candidate_sd_paths(request.source, request.destination, 2):
-            expected = enumerate_best_placement(request, path, view, graph, 2, Weights())
+            expected = enumerate_best_placement(request, path, view, graph, config)
             got = viterbi_place(request, path, view, graph, config)
             if expected is None:
                 assert got is None

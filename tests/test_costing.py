@@ -20,7 +20,7 @@ from satchain.costing import (
 )
 from satchain.energy import Mode, ServerState
 from satchain.harness import SimulationConfig
-from satchain.placement import best_response
+from satchain.placement import best_response, viterbi_place
 from satchain.topology import Path, link_delay
 from satchain.workload import PSEUDO_VNF, generate_requests
 
@@ -38,13 +38,13 @@ def profile_of(graph, context, *pairs):
     return StrategyProfile(requests, strategies, context)
 
 
-def build_strategy(request, graph, context, hosts, route_nodes, weights=Weights()):
+def build_strategy(request, graph, context, hosts, route_nodes, config=SimulationConfig()):
     routes = tuple(
         zero_hop(seq[0]) if len(seq) == 1 else make_path(graph, seq) for seq in route_nodes
     )
     profile = profile_of(graph, context)
     view = ContextView.build(graph, profile)
-    cost = evaluate_strategy(request, tuple(hosts), routes, graph, view, weights)
+    cost = evaluate_strategy(request, tuple(hosts), routes, graph, view, config)
     return Strategy(request.id, tuple(hosts), routes, cost)
 
 
@@ -110,9 +110,10 @@ class TestEnergyCost:
         assert strategy.cost.power == pytest.approx(expected, rel=1e-12)
 
     def test_idle_baseline_per_vnf_flag(self, graph6):
-        context = idle_context(graph6, idle_charge="per_vnf")
+        context = idle_context(graph6)
         request = make_request(0, 0, 0, [(4.0, 4.0, 10.0), (4.0, 4.0, 10.0)], duration=1)
-        strategy = build_strategy(request, graph6, context, (0, 0, 0, 0), [(0,), (0,), (0,)])
+        config = SimulationConfig(idle_charge="per_vnf")
+        strategy = build_strategy(request, graph6, context, (0, 0, 0, 0), [(0,), (0,), (0,)], config)
         expected = (2 * 49.9 + 2 * (4.0 / 112.0) * 365.1) / 2490.0
         assert strategy.cost.power == pytest.approx(expected, rel=1e-12)
 
@@ -213,7 +214,7 @@ class TestContextView:
         link01 = make_path(graph6, [0, 1]).links[0]
         assert view.free_bw[link01] == 100.0 - 40.0
         # committed lifetime reaches past this slot: host keeps serving
-        assert view.serves_next[1] is True
+        assert view.serving[1] == 1
         excluded = ContextView.build(graph6, profile, exclude=11)
         assert excluded.free_cpu[2] == 112.0
 
@@ -223,8 +224,32 @@ class TestContextView:
         strategy = build_strategy(r, graph6, context, (3, 3, 3), [(3,), (3,)])
         profile = profile_of(graph6, context, (r, strategy))
         view = ContextView.build(graph6, profile)
-        assert view.idle_charged[3] is True
-        assert ContextView.build(graph6, profile, exclude=1).idle_charged[3] is False
+        assert view.idling[3] == 1
+        assert ContextView.build(graph6, profile, exclude=1).idling[3] == 0
+
+    @pytest.mark.parametrize("duration", [1, 2], ids=["idling", "serving"])
+    def test_hold_alone_brings_the_view_to_a_fresh_build(self, graph6, duration):
+        # the other request keeps idle host 3 serving next slot (duration 2) or pays its
+        # idle baseline there (duration 1); either spares this request the baseline
+        context = idle_context(graph6)
+        config = SimulationConfig()
+        other = make_request(1, 3, 3, [(4.0, 4.0, 10.0)], duration=duration)
+        request = make_request(2, 3, 3, [(4.0, 4.0, 10.0)], duration=1)
+        other_strategy = build_strategy(other, graph6, context, (3, 3, 3), [(3,), (3,)])
+        mine = Strategy(2, (3, 3, 3), (zero_hop(3), zero_hop(3)))
+        path = graph6.candidate_sd_paths(3, 3, 1)[0]
+        profile = StrategyProfile.empty([other, request], context)
+        view = ContextView.build(graph6, profile, exclude=2)
+        energies = []
+        for sign, strategy in ((1, other_strategy), (-1, Strategy.unallocated(1))):
+            view.hold(other, other_strategy, duration >= 2, sign)
+            profile.strategies[1] = strategy
+            fresh = ContextView.build(graph6, profile, exclude=2)
+            energy = energy_cost(mine, request, graph6, view, config.idle_charge)
+            assert energy == energy_cost(mine, request, graph6, fresh, config.idle_charge)
+            assert viterbi_place(request, path, view, graph6, config) == viterbi_place(request, path, fresh, graph6, config)
+            energies.append(energy)
+        assert energies[0] < energies[1]
 
 
 class TestCheckFeasibility:
@@ -360,9 +385,10 @@ class TestEvaluateConsistency:
         routes = (make_path(graph6, [0, 2]), make_path(graph6, [2, 4]), make_path(graph6, [4, 5]))
         profile = profile_of(graph6, context)
         view = ContextView.build(graph6, profile)
-        cost = evaluate_strategy(request, hosts, routes, graph6, view, thirds)
+        config = SimulationConfig(weights=thirds)
+        cost = evaluate_strategy(request, hosts, routes, graph6, view, config)
         strategy = Strategy(0, hosts, routes, cost)
         assert cost.bw == bandwidth_cost(strategy, request, graph6)
         assert cost.delay == delay_cost(strategy, request)
-        assert cost.power == energy_cost(strategy, request, graph6, view)
+        assert cost.power == energy_cost(strategy, request, graph6, view, config.idle_charge)
         assert cost.payoff == user_payoff(cost.bw, cost.power, cost.delay, thirds)

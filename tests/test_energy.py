@@ -19,7 +19,7 @@ from satchain.energy import (
     vnf_power_attribution,
 )
 
-from conftest import TABLE_POWER
+from conftest import TABLE_NODE, TABLE_POWER
 
 
 class TestStepServerState:
@@ -134,9 +134,9 @@ class TestAttribution:
 
 def serving_power(cpu):
     """The draw `ServerFleet.record` logs for one serving 112-vCPU server with ``cpu`` allocated."""
-    fleet = ServerFleet({0: TABLE_POWER})
+    fleet = ServerFleet([TABLE_NODE])
     fleet.mark_service({0})
-    fleet.record(0, {0: cpu}, {0: 112.0})
+    fleet.record(0, {0: cpu})
     (row,) = fleet.timeline
     assert row[:3] == (0, 0, "on")
     return row[3]
@@ -159,17 +159,16 @@ class TestServerActivePower:
 
 class TestFleetTimeline:
     def test_scripted_restart_records_setup_at_p_max(self):
-        fleet = ServerFleet({0: TABLE_POWER})
-        capacity = {0: 112.0}
+        fleet = ServerFleet([TABLE_NODE])
         fleet.mark_service({0})
-        fleet.record(0, {0: 8.0}, capacity)
+        fleet.record(0, {0: 8.0})
         for slot in (1, 2, 3, 4, 5):
             fleet.advance(set(), slot)
-            fleet.record(slot, {}, capacity)
+            fleet.record(slot, {})
         fleet.mark_service({0})
-        fleet.record(5, {0: 8.0}, capacity)  # same slot, after placement
+        fleet.record(5, {0: 8.0})  # same slot, after placement
         fleet.advance({0}, 6)
-        fleet.record(6, {0: 8.0}, capacity)
+        fleet.record(6, {0: 8.0})
         expected_on = serving_power(8.0)
         assert fleet.timeline == [
             (0, 0, "on", expected_on),
@@ -183,10 +182,10 @@ class TestFleetTimeline:
         ]
 
     def test_slot_power_modes(self):
-        fleet = ServerFleet({n: TABLE_POWER for n in range(4)})
+        fleet = ServerFleet([TABLE_NODE] * 4)
         fleet.states[0] = fleet.states[3] = ServerState(Mode.OFF_AVAILABLE, off_since=0)
         fleet.mark_service({2, 3})
-        fleet.record(1, {2: 112.0}, dict.fromkeys(range(4), 112.0))
+        fleet.record(1, {2: 112.0})
         assert fleet.timeline == [
             (1, 0, "off_available", 0.0),
             (1, 1, "idle", 49.9),

@@ -9,7 +9,6 @@ from satchain.costing import (
     ContextView,
     Strategy,
     StrategyProfile,
-    Weights,
     check_feasibility,
     network_payoff,
 )
@@ -68,7 +67,7 @@ class TestPgraRun:
         options = []
         for request in requests:
             options.append(
-                enumerate_request_strategies(request, base, graph, 2, Weights())
+                enumerate_request_strategies(request, base, graph, config)
                 + [Strategy.unallocated(request.id)]
             )
         best_joint = 0.0

@@ -381,6 +381,11 @@ class TestConfig:
             ("p_idle", 500.0),
             ("t_idle_max", 0),
             ("t_off_min", 0),
+            ("planes", 0),
+            ("sats_per_plane", 0),
+            ("intra_plane_km", 0.0),
+            ("inter_plane_km", -400.0),
+            ("link_bandwidth", 0.0),
         ],
     )
     def test_bad_derived_value_fails_at_construction_naming_the_key(self, key, value):
@@ -531,6 +536,8 @@ class TestCli:
             ('{"ranges": {"cpu": [2.5, 3]}}', "ranges.cpu"),
             ('{"ranges": {"cpu": [true, 3]}}', "ranges.cpu"),
             ('{"requests_per_slot": [true, 3]}', "requests_per_slot"),
+            # out of range rather than mistyped: construction rejects it before any graph is built
+            ('{"planes": 0}', "planes must be positive, not 0"),
         ],
     )
     def test_mistyped_config_value_is_a_usage_error_naming_the_key(self, text, key, tmp_path, capsys, monkeypatch):

@@ -1,5 +1,4 @@
 import copy
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,7 +41,8 @@ def drawn_game(data, divisor=10):
     """
     graph = drawn_ring(data, divisor)
     n = len(graph.nodes)
-    context = idle_context(graph, slot=2, idle_charge=data.draw(st.sampled_from(("once", "per_vnf"))))
+    idle_charge = data.draw(st.sampled_from(("once", "per_vnf")))
+    context = idle_context(graph, slot=2)
     for i in range(n):
         mode = data.draw(st.sampled_from(MODES))
         if mode is Mode.IDLE:
@@ -50,7 +50,9 @@ def drawn_game(data, divisor=10):
         else:
             context.server_states[i] = ServerState(mode, off_since=0 if mode is Mode.OFF_AVAILABLE else 2)
     requests = drawn_requests(data, n, divisor)
-    config = SimulationConfig(num_paths=data.draw(st.integers(1, 4)), beam_width=data.draw(st.integers(1, 4)))
+    config = SimulationConfig(
+        num_paths=data.draw(st.integers(1, 4)), beam_width=data.draw(st.integers(1, 4)), idle_charge=idle_charge
+    )
     return requests, graph, context, config
 
 
@@ -85,10 +87,10 @@ def drawn_requests(data, n, divisor, start_id=0):
 
 
 def assert_same_view(view, fresh):
-    """Free values bit for bit, and modes, counts and flags equal."""
+    """Free values bit for bit, and modes and holder counts equal."""
     for name in ("free_cpu", "free_mem", "free_bw"):
         assert [x.hex() for x in getattr(view, name)] == [x.hex() for x in getattr(fresh, name)]
-    for name in ("mode", "serving", "idling", "serves_next", "idle_charged", "idle_charge"):
+    for name in ("mode", "serving", "idling"):
         assert getattr(view, name) == getattr(fresh, name)
 
 
@@ -157,11 +159,12 @@ def assert_kept_views_match_fresh_builds(data, divisor):
 
 def assert_moved_sets_cover_every_change(data, divisor):
     """At each catch-up of `interleave_memo_calls`, the nodes and links it
-    names as moved must contain every node and link whose free value or flag
-    differs from the view before the call, and the certificate must hold on
-    the moved sets exactly when it holds on every node and link."""
+    names as moved must contain every node and link whose free value or
+    holder count differs from the view before the call, and the certificate
+    must hold on the moved sets exactly when it holds on every node and
+    link."""
     catch_up = placement._Kept.catch_up
-    per_node = ("free_cpu", "free_mem", "serves_next", "idle_charged")
+    per_node = ("free_cpu", "free_mem", "serving", "idling")
 
     def checked(kept, graph, profile, request_id):
         before = {name: list(getattr(kept.view, name)) for name in (*per_node, "free_bw")}
@@ -219,12 +222,12 @@ class TestViterbiPlace:
 
     def test_unlimited_beam_matches_exhaustive_search(self):
         rng = np.random.default_rng(77)
-        config = SimulationConfig(num_paths=2, beam_width=None)
         checked = 0
         for _ in range(400):
-            graph, _, request, view = random_micro_instance(rng)
+            graph, _, request, view, idle_charge = random_micro_instance(rng)
+            config = SimulationConfig(num_paths=2, beam_width=None, idle_charge=idle_charge)
             for path in graph.candidate_sd_paths(request.source, request.destination, 2):
-                expected = enumerate_best_placement(request, path, view, graph, 2, Weights())
+                expected = enumerate_best_placement(request, path, view, graph, config)
                 got = viterbi_place(request, path, view, graph, config)
                 if expected is None:
                     assert got is None
@@ -238,13 +241,13 @@ class TestViterbiPlace:
     @settings(derandomize=True, max_examples=300, deadline=None, database=None)
     @given(st.data())
     def test_unlimited_beam_matches_exhaustive_search_on_drawn_rings(self, data):
-        graph, _, request, view = random_micro_instance(DrawnRng(data), nodes=(2, 8))
+        graph, _, request, view, idle_charge = random_micro_instance(DrawnRng(data), nodes=(2, 8))
         # tight link headroom, so that ranked routes get rejected
         view.free_bw = [float(data.draw(st.integers(10, 100))) for _ in graph.links]
         d = data.draw(st.integers(1, 4))
-        config = SimulationConfig(num_paths=d, beam_width=None)
+        config = SimulationConfig(num_paths=d, beam_width=None, idle_charge=idle_charge)
         for path in graph.candidate_sd_paths(request.source, request.destination, d):
-            expected = enumerate_best_placement(request, path, view, graph, d, Weights())
+            expected = enumerate_best_placement(request, path, view, graph, config)
             got = viterbi_place(request, path, view, graph, config)
             if expected is None:
                 assert got is None
@@ -270,25 +273,31 @@ class TestViterbiPlace:
         requests, graph, context, config = drawn_game(data)
         # with every request unallocated, each one sees this view
         view = ContextView.build(graph, StrategyProfile.empty(requests, context))
-        view.serves_next = [data.draw(st.booleans()) for _ in graph.nodes]
-        view.idle_charged = [data.draw(st.booleans()) for _ in graph.nodes]
-        # shift free values or flip flags of one or more kinds, so that a change of one kind alone is common
-        read = ("free_cpu", "free_mem", "free_bw", "serves_next", "idle_charged")
+        view.serving = [data.draw(st.integers(0, 2)) for _ in graph.nodes]
+        view.idling = [data.draw(st.integers(0, 2)) for _ in graph.nodes]
+        # shift free values or holder counts of one or more kinds, so that a change of one kind alone is common
+        read = ("free_cpu", "free_mem", "free_bw", "serving", "idling")
         kinds = data.draw(st.sets(st.sampled_from(read), min_size=1))
         shift = st.sampled_from((0, -1, 1)).flatmap(lambda sign: st.integers(0, 60).map(lambda t: sign * t / 10))
-        flip = st.sampled_from((False, False, True))
+        step = st.sampled_from((0, 0, -1, 1))
         shifted = copy.copy(view)
         for name in read:
             if name in kinds and name.startswith("free"):
                 setattr(shifted, name, [free + data.draw(shift) for free in getattr(view, name)])
             elif name in kinds:
-                setattr(shifted, name, [flag != data.draw(flip) for flag in getattr(view, name)])
+                setattr(shifted, name, [max(count + data.draw(step), 0) for count in getattr(view, name)])
+        # every count above 0 moves and stays above 0: the kernel reads the same flags
+        same_sides = copy.copy(view)
+        same_sides.serving = [count + 1 if count else 0 for count in view.serving]
+        same_sides.idling = [count + 1 if count else 0 for count in view.idling]
+        every = range(len(graph.nodes)), range(len(graph.links))
         for request in requests:
             for path in graph.candidate_sd_paths(request.source, request.destination, config.num_paths):
                 certificate = placement.Certificate()
                 got = viterbi_place(request, path, view, graph, config, certificate)
                 certificate.seal(view)
-                if certificate.holds(shifted, range(len(graph.nodes)), range(len(graph.links))):
+                assert certificate.holds(same_sides, *every)
+                if certificate.holds(shifted, *every):
                     assert viterbi_place(request, path, shifted, graph, config) == got
 
     def test_certificate_replays_the_kernels_rounding(self):
@@ -336,11 +345,12 @@ class TestViterbiPlace:
     def test_beam_width_monotonicity(self):
         rng = np.random.default_rng(5)
         for _ in range(25):
-            graph, _, request, view = random_micro_instance(rng)
+            graph, _, request, view, idle_charge = random_micro_instance(rng)
             path = graph.candidate_sd_paths(request.source, request.destination, 2)[-1]
             payoffs = []
             for beam in (1, 2, 4, 8):
-                placed = viterbi_place(request, path, view, graph, SimulationConfig(num_paths=2, beam_width=beam))
+                config = SimulationConfig(num_paths=2, beam_width=beam, idle_charge=idle_charge)
+                placed = viterbi_place(request, path, view, graph, config)
                 payoffs.append(-1.0 if placed is None else placed.cost.payoff)
             assert payoffs == sorted(payoffs)
 
@@ -496,9 +506,9 @@ class TestGreedyPlace:
     def test_never_beats_the_beam_search(self):
         rng = np.random.default_rng(99)
         for _ in range(25):
-            graph, context, request, _ = random_micro_instance(rng)
+            graph, context, request, _, idle_charge = random_micro_instance(rng)
             profile = empty_profile(graph, context, request)
-            config = SimulationConfig(num_paths=2, beam_width=None)
+            config = SimulationConfig(num_paths=2, beam_width=None, idle_charge=idle_charge)
             beam = best_response(request, profile, graph, config)
             greedy = greedy_place(request, profile, graph, config)
             if greedy is None:
@@ -551,7 +561,7 @@ def assert_round_views_match_fresh_builds(data, divisor):
             harness._allocate(algorithm, data.draw(st.permutations(requests)), graph, context, config)
             assert decided == sorted(r.id for r in requests)
             return
-        sim = harness.OnlineSimulation(replace(config, idle_charge=context.idle_charge), graph)
+        sim = harness.OnlineSimulation(config, graph)
         arrivals = requests
         for slot in range(data.draw(st.integers(2, 3))):
             sim.step(slot, data.draw(st.permutations(arrivals)), algorithm, 0)

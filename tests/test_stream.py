@@ -1,5 +1,6 @@
 """The seeded streams against numpy, their oracle: every draw and state word equal."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -102,3 +103,20 @@ def test_batch_runs_without_numpy(capsys):
     )
     assert main(argv) == 0
     assert done.stdout == capsys.readouterr().out
+
+
+def test_library_imports_only_the_pinned_standard_modules():
+    # `import satchain` loads every module of the package, and `bench/run.py` times that
+    # import as part of `setup_s`, so a new module has to be added here on purpose
+    pinned = {
+        "__future__", "argparse", "contextlib", "csv", "dataclasses", "enum", "heapq", "io", "json", "math",
+        "sys", "typing", "warnings",
+    }
+    imported = set()
+    for source in Path(satchain.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(source.read_text(), str(source))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module)
+    assert imported == pinned
