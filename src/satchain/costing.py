@@ -91,13 +91,44 @@ class SlotContext:
     committed: list = field(default_factory=list)  # CommittedPlacement, still running
 
 
+class Strategies(dict):
+    """A profile's request id -> Strategy mapping whose one writer, item
+    assignment, appends ``(request id, old strategy or None, new strategy)``
+    to `log`; other mutators raise `TypeError`.  A copy starts its own log."""
+
+    __slots__ = ("log",)
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.log = []
+
+    def __setitem__(self, rid, strategy):
+        self.log.append((rid, self.get(rid), strategy))
+        super().__setitem__(rid, strategy)
+
+    def __reduce__(self):
+        return Strategies, (dict(self),)
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a profile's strategies change only by item assignment")
+
+    update = setdefault = pop = popitem = clear = __delitem__ = __ior__ = _refuse
+
+
 @dataclass
 class StrategyProfile:
     """Joint strategies of one slot's requests plus the slot context."""
 
     requests: dict  # request id -> UserRequest
-    strategies: dict  # request id -> Strategy
+    strategies: Strategies  # request id -> Strategy; a plain dict is wrapped
     context: SlotContext
+
+    def __post_init__(self):
+        if not isinstance(self.strategies, Strategies):
+            self.strategies = Strategies(self.strategies)
+
+    def __copy__(self):
+        return StrategyProfile(self.requests, dict(self.strategies), self.context)
 
     @classmethod
     def empty(cls, requests, context: SlotContext) -> "StrategyProfile":
@@ -116,9 +147,9 @@ class ContextView:
     current strategies into flat per-node / per-link arrays so that placement
     search touches nothing but list lookups.  `hold` is the one rule for what
     a strategy holds: `build` takes each running and other allocated strategy
-    with it, a view kept across a `pgra_run` gives a replaced strategy back
-    and takes its successor, a one-pass round's view takes each placement as
-    it is made, and `tally` sums the loads that `check_feasibility` and the
+    with it, a `pgra_run` commit's change to a kept view is a tally that
+    gives the replaced strategy back and takes its successor, a one-pass
+    round's view takes each placement as it is made, and `tally` sums the loads that `check_feasibility` and the
     on-line server fleet read.  A node's server flags are its holder counts:
     ``serving[node]`` counts the held VNFs there that keep running into the
     next slot and ``idling[node]`` those on an idle server, so a node serves

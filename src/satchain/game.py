@@ -11,19 +11,19 @@ request can improve by changing only its own strategy.
 
 Between iterations only the winner's strategy changes, so most best
 responses would repeat themselves.  `pgra_run` keeps a memo entry per
-request: its `ContextView`, built on its first best response and brought up
-to date on each later one by giving back and taking only the strategies that
-changed since, and one `placement.Certificate` for all of its corridor
-searches: the outcome of the capacity and bandwidth tests they made and the
-server flags their power rule read.  A best response whose certificate holds
-for the caught-up view is not computed again; its stored result is what the
-kernel would return, because the certificate replays the kernel's own
-comparisons.  The check tests only the nodes and links that catch-up
-moved, the hosts and route links of the strategies it gave back and took,
-since every other test passed before on the values it still reads.  Server
-modes, the graph, the requests and the config are fixed within one call and
-the memo dies with it, so no view or result crosses slots.  `is_nash` runs
-uncached, so it checks the cached dynamics independently.
+request: its `ContextView`, built on its first best response, and one
+`placement.Certificate` for all of its corridor searches: the outcome of
+the capacity and bandwidth tests they made and the server flags their power
+rule read.  ``profile.strategies`` logs each commit, whose change to a view
+is worked out once; each view catches up by adding the changes it has not
+read.  A best response whose certificate holds for the caught-up view is
+not computed again: its stored result is what the kernel would return,
+because the certificate replays the kernel's own comparisons.  The check
+tests only the nodes and links that catch-up changed, since every other
+test passed before on the values it still reads.  Server modes, the graph,
+the requests and the config are fixed within one call and the memo dies
+with it, so no view or result crosses slots.  `is_nash` runs uncached, so
+it checks the cached dynamics independently.
 """
 
 from __future__ import annotations

@@ -88,10 +88,10 @@ class Certificate:
 
     `seal` groups the tests by kind and index, each group with the free
     value seen at seal, and keeps ``(serving > 0, idling > 0)`` of each read
-    node.  `holds` tests only the nodes and links a kept view's catch-up
-    moved: a certificate lives on only while its checks pass, and catch-up is
-    the only writer of a kept view, so every index left out still reads what
-    it passed with last.
+    node.  `holds` tests only the nodes and links whose values a kept view's
+    catch-up changed: a certificate lives on only while its checks pass, and
+    catch-up is the only writer of a kept view, so every index left out
+    still reads what it passed with last.
     """
 
     __slots__ = ("cpu", "mem", "bw", "flagged", "tests", "flags")
@@ -372,48 +372,71 @@ def _whole_numbers(graph: NetworkGraph, profile: StrategyProfile) -> bool:
     return all(float(value).is_integer() for value in values) and sum(values) < 2**53
 
 
+def _work_out_moves(graph: NetworkGraph, profile: StrategyProfile, moves: list) -> None:
+    """Append to `moves` each later write of the profile's strategy log as a
+    view's move: None for a write of the stored object, else the writer, the
+    nodes and links the move changes, and the change at each."""
+    for rid, old, new in profile.strategies.log[len(moves) :]:
+        request = profile.requests[rid]
+        tally = ContextView.tally(graph, profile.context, ())
+        for sign, strategy in ((-1, old), (1, new)):
+            if strategy is not None and old is not new:
+                tally.hold(request, strategy, request.duration_slots >= 2, sign)
+        counts = zip(tally.free_cpu, tally.free_mem, tally.serving, tally.idling)
+        held = [(node, *change) for node, change in enumerate(counts) if any(change)]
+        carried = [(link, change) for link, change in enumerate(tally.free_bw) if change]
+        nodes, links = tuple(node for node, *_ in held), tuple(link for link, _ in carried)
+        moves.append((rid, nodes, links, held, carried) if old is not new else None)
+
+
 class _Kept:
-    """A request's entry in the `best_response` memo: its view, the strategies
-    of ``profile.strategies`` that the view reflects, and the certified best
+    """A request's entry in the `best_response` memo: its view, how far into
+    the profile's strategy log the view has read, and the certified best
     response of its last search.
 
-    The view catches up by itself: each other request whose strategy is not
-    the one it reflects gives that back and takes the new one, which moves
-    free values and holder counts at those strategies' hosts and links only.
-    This is exact only when the slot is `whole` (see `_whole_numbers`);
-    otherwise a stale view is built afresh.
+    The view catches up by itself: it adds the change of each unread write's
+    move, worked out once for the whole memo, at the move's nodes and links,
+    skipping the request's own writes.  In a `whole` slot (see
+    `_whole_numbers`) the sums give the bits of a fresh build; otherwise a
+    view that has unread moves is built afresh.
     """
 
-    __slots__ = ("view", "seen", "whole", "certificate", "best")
+    __slots__ = ("view", "log", "moves", "read", "whole", "certificate", "best")
 
-    def __init__(self, graph: NetworkGraph, profile: StrategyProfile, request_id: int, whole: bool):
+    def __init__(self, graph: NetworkGraph, profile: StrategyProfile, request_id: int, first: _Kept | None):
         self.view = ContextView.build(graph, profile, exclude=request_id)
-        self.seen = dict(profile.strategies)
-        self.whole = whole
+        self.read = len(profile.strategies.log)
+        if first is None:  # one memo serves one profile on one graph: its first entry's log, moves and test serve all
+            self.log, self.moves, self.whole = profile.strategies.log, [], _whole_numbers(graph, profile)
+        else:
+            self.log, self.moves, self.whole = first.log, first.moves, first.whole
 
     def catch_up(self, graph: NetworkGraph, profile: StrategyProfile, request_id: int) -> tuple:
         """Bring the view up to date; returns the (nodes, links) it moved:
-        the hosts and route links of each strategy given back or taken, or
+        those of its unread moves, a move's own tuples when it read one, or
         every node and link when the view was built afresh."""
-        nodes, links = set(), set()
-        for rid, strategy in profile.strategies.items():
-            old = self.seen[rid]
-            if strategy is old or rid == request_id:
-                continue
-            self.seen[rid] = strategy
-            request = profile.requests[rid]
-            keeps_running = request.duration_slots >= 2
-            for sign, moved in ((-1, old), (1, strategy)):
-                if moved.allocated:
-                    nodes.update(moved.hosts)
-                    for route in moved.routes:
-                        links.update(route.links)
-                    if self.whole:
-                        self.view.hold(request, moved, keeps_running, sign)
-        if not self.whole and nodes:
+        if profile.strategies.log is not self.log:
+            raise ValueError("a memo entry was read against a profile it was not built on")
+        _work_out_moves(graph, profile, self.moves)
+        unread = [move for move in self.moves[self.read :] if move and move[0] != request_id]
+        self.read = len(self.moves)
+        if not self.whole and unread:
             self.view = ContextView.build(graph, profile, exclude=request_id)
             return range(len(graph.nodes)), range(len(graph.links))
-        return nodes, links
+        view = self.view
+        free_cpu, free_mem, free_bw = view.free_cpu, view.free_mem, view.free_bw
+        serving, idling = view.serving, view.idling
+        for _, _, _, held, carried in unread:
+            for node, cpu, memory, serves, idles in held:
+                free_cpu[node] += cpu
+                free_mem[node] += memory
+                serving[node] += serves
+                idling[node] += idles
+            for link, bandwidth in carried:
+                free_bw[link] += bandwidth
+        if len(unread) == 1:
+            return unread[0][1], unread[0][2]
+        return {node for move in unread for node in move[1]}, {link for move in unread for link in move[2]}
 
 
 def best_response(
@@ -434,12 +457,13 @@ def best_response(
     unallocated.
 
     `memo` maps a request id to an entry that keeps the request's view, which
-    catches up with ``profile.strategies`` by itself, and a sealed
+    catches up with the log of ``profile.strategies`` by itself, and a sealed
     `Certificate` of all its corridor runs with the best response they gave.
     The view is built on the request's first call only; while the
     certificate holds for the caught-up view, the stored result is returned
-    without running the kernel.  The caller must drop the memo when server
-    modes, the graph, the requests or the config change.  Without a memo, a
+    without running the kernel.  A memo serves one profile (another raises
+    `ValueError`) until server modes, the graph, the requests or the config
+    change.  Without a memo, a
     given `view` is searched in place of a fresh build; it must equal
     ``ContextView.build(graph, profile, exclude=request.id)``.
     """
@@ -450,9 +474,7 @@ def best_response(
     else:
         kept = memo.get(request.id)
         if kept is None:
-            # one memo serves one slot on one graph, so its first entry's test holds for every entry
-            whole = next(iter(memo.values())).whole if memo else _whole_numbers(graph, profile)
-            kept = _Kept(graph, profile, request.id, whole)
+            kept = _Kept(graph, profile, request.id, next(iter(memo.values()), None))
         else:
             nodes, links = kept.catch_up(graph, profile, request.id)
             if kept.certificate.holds(kept.view, nodes, links):

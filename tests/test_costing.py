@@ -1,3 +1,4 @@
+import copy
 import math
 from dataclasses import replace
 
@@ -7,6 +8,7 @@ from satchain.costing import (
     ContextView,
     CommittedPlacement,
     SlotContext,
+    Strategies,
     Strategy,
     StrategyProfile,
     Weights,
@@ -196,6 +198,60 @@ class TestNetworkPayoff:
         r = make_request(5, 0, 0, [])
         profile = profile_of(graph6, context, (r, self._stub(5, 0.73)))
         assert network_payoff(profile) == 0.73
+
+
+class TestStrategyLog:
+    """Item assignment is the one writer of ``profile.strategies``, and it logs."""
+
+    def _profile(self, graph):
+        requests = [make_request(rid, 0, 1, [(2.0, 2.0, 1.0)]) for rid in (0, 1)]
+        profile = StrategyProfile.empty(requests, idle_context(graph))
+        profile.strategies[1] = Strategy(1, (0, 0, 1), (zero_hop(0), make_path(graph, [0, 1])))
+        return profile
+
+    def test_item_assignment_logs_old_and_new_then_stores(self, graph6):
+        profile = StrategyProfile.empty([make_request(0, 0, 1, [])], idle_context(graph6))
+        unallocated, placed = profile.strategies[0], Strategy(0, (0, 1), (make_path(graph6, [0, 1]),))
+        profile.strategies[0] = placed
+        profile.strategies[0] = placed
+        assert profile.strategies.log == [(0, unallocated, placed), (0, placed, placed)]
+        assert profile.strategies[0] is placed
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda s: s.update({0: Strategy.unallocated(0)}),
+            lambda s: s.setdefault(2, Strategy.unallocated(2)),
+            lambda s: s.pop(1),
+            lambda s: s.popitem(),
+            lambda s: s.clear(),
+            lambda s: s.__delitem__(1),
+            lambda s: s.__ior__({1: Strategy.unallocated(1)}),
+        ],
+        ids=["update", "setdefault", "pop", "popitem", "clear", "delitem", "ior"],
+    )
+    def test_every_other_mutator_raises_and_changes_nothing(self, graph6, mutate):
+        strategies = self._profile(graph6).strategies
+        items, log = dict(strategies), list(strategies.log)
+        with pytest.raises(TypeError):
+            mutate(strategies)
+        assert dict(strategies) == items and strategies.log == log
+
+    @pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy], ids=["copy", "deepcopy"])
+    def test_copy_of_a_profile_keeps_its_own_log(self, graph6, copier):
+        profile = self._profile(graph6)
+        log = list(profile.strategies.log)
+        twin = copier(profile)
+        assert twin == profile and twin.strategies.log == []
+        assert twin.strategies is not profile.strategies and twin.strategies.log is not profile.strategies.log
+        twin.strategies[0] = Strategy.unallocated(0)
+        assert profile.strategies.log == log
+
+    def test_plain_dict_profile_equals_one_built_by_writes(self, graph6):
+        built = self._profile(graph6)
+        wrapped = StrategyProfile(built.requests, dict(built.strategies), built.context)
+        assert wrapped == built
+        assert type(wrapped.strategies) is Strategies and wrapped.strategies.log == []
 
 
 class TestContextView:

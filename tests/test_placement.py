@@ -123,15 +123,17 @@ def assert_best_responses_match_independent_runs(requests, graph, context, confi
 
 def interleave_memo_calls(data, divisor, check):
     """Interleave memo'd best responses with direct writes to the profile:
-    commits, drops to unallocated and restores of an earlier strategy.  After
-    each memo'd call, ``check(kept, graph, profile, request)`` runs on the
-    request's memo entry."""
+    commits, drops to unallocated, restores of an earlier strategy, two
+    writes to one request in a row (a -> b -> c or back to a) and a write of
+    the object already stored.  After each memo'd call, ``check(kept, graph,
+    profile, request)`` runs on the request's memo entry."""
     requests, graph, context, config = drawn_game(data, divisor)
     profile = StrategyProfile.empty(requests, context)
     memo, given = {}, {r.id: [] for r in requests}
     for _ in range(data.draw(st.integers(8, 40))):
         request = data.draw(st.sampled_from(requests))
-        action = data.draw(st.sampled_from(("respond", "respond", "commit", "drop", "restore")))
+        actions = ("respond", "respond", "commit", "drop", "restore", "twice", "same")
+        action = data.draw(st.sampled_from(actions))
         if action == "respond":
             best_response(request, profile, graph, config, memo)
             check(memo[request.id], graph, profile, request)
@@ -142,6 +144,13 @@ def interleave_memo_calls(data, divisor, check):
                 profile.strategies[request.id] = strategy
         elif action == "drop":
             profile.strategies[request.id] = Strategy.unallocated(request.id)
+        elif action == "twice":
+            current = profile.strategies[request.id]
+            options = [Strategy.unallocated(request.id), *given[request.id]]
+            profile.strategies[request.id] = data.draw(st.sampled_from(options))
+            profile.strategies[request.id] = data.draw(st.sampled_from([current, *options]))
+        elif action == "same":
+            profile.strategies[request.id] = profile.strategies[request.id]
         elif given[request.id]:
             profile.strategies[request.id] = data.draw(st.sampled_from(given[request.id]))
 
@@ -465,6 +474,42 @@ class TestBestResponse:
         profile, _ = pgra_run(requests, graph, idle_context(graph), config)
         assert len(tested) == 1
         assert whole_numbers(graph, profile)
+
+    def test_pgra_run_holds_at_most_two_strategies_per_commit_outside_builds(self, monkeypatch):
+        # each commit's move is worked out once, not once per kept view
+        config = SimulationConfig().with_nodes(12)
+        graph = config.build_graph()
+        requests = generate_requests(20, graph, config.ranges, 1, d=config.num_paths)
+        held, building = [], []
+        hold, build = ContextView.hold, ContextView.build.__func__
+
+        def counted_hold(*args):
+            if not building:
+                held.append(args)
+            return hold(*args)
+
+        def counted_build(cls, *args, **kwargs):
+            building.append(True)
+            try:
+                return build(cls, *args, **kwargs)
+            finally:
+                building.pop()
+
+        monkeypatch.setattr(ContextView, "hold", counted_hold)
+        monkeypatch.setattr(ContextView, "build", classmethod(counted_build))
+        _, trace = pgra_run(requests, graph, idle_context(graph), config)
+        commits = sum(row.winner is not None for row in trace.rows)
+        assert commits > 5
+        assert len(held) <= 2 * commits
+
+    def test_memo_serves_only_the_profile_it_was_built_on(self, graph6):
+        requests = generate_requests(4, graph6, rng_seed=11, d=8)
+        config = SimulationConfig()
+        profile = StrategyProfile.empty(requests, idle_context(graph6))
+        memo = {}
+        best_response(requests[0], profile, graph6, config, memo)
+        with pytest.raises(ValueError):
+            best_response(requests[0], copy.deepcopy(profile), graph6, config, memo)
 
     def test_deterministic(self, graph6):
         context = idle_context(graph6)
