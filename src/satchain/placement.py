@@ -463,9 +463,8 @@ def best_response(
     certificate holds for the caught-up view, the stored result is returned
     without running the kernel.  A memo serves one profile (another raises
     `ValueError`) until server modes, the graph, the requests or the config
-    change.  Without a memo, a
-    given `view` is searched in place of a fresh build; it must equal
-    ``ContextView.build(graph, profile, exclude=request.id)``.
+    change.  Without a memo, a given `view` is searched in place of a fresh
+    build; it must equal ``ContextView.build(graph, profile, exclude=request.id)``.
     """
     certificate = kept = None
     if memo is None:
