@@ -15,6 +15,9 @@ context = SlotContext(0, states, [])
 requests = generate_requests(12, graph, config.ranges, rng_seed=7, d=config.num_paths)
 profile, trace = pgra_run(requests, graph, context, config)
 
+# "proposals" counts the improving proposals of the requests that searched: a
+# request whose payoff ceiling cannot beat the round's best offer so far skips
+# its search, since it could not win.  The converged round reads 0.
 print("round  winner  payoff-before  payoff-after  improvement  proposals")
 for row in trace.rows:
     winner = "-" if row.winner is None else f"r{row.winner}"

@@ -11,6 +11,7 @@ payoff difference.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -291,6 +292,38 @@ def evaluate_strategy(
     power = energy_cost(probe, request, graph, view, config.idle_charge)
     delay = delay_cost(probe, request)
     return CostBreakdown(bw, power, delay, user_payoff(bw, power, delay, config.weights))
+
+
+def payoff_ceiling(request: UserRequest, graph: NetworkGraph, context: SlotContext, config: SimulationConfig) -> float:
+    """An upper bound on the stored payoff of every placement of `request`
+    in the slot: 1 minus the cost floors that the slot's server modes fix.
+
+    Bandwidth costs at least 0.  Delay costs at least the execution time plus
+    the shortest transit between the endpoints.  Each real VNF costs at least
+    its cheapest charge over the hosts that can take it: 0 on an
+    off-available server, the CPU share on an on or idle one.  The 1e-9
+    margin covers the last bit in which a stored payoff may differ from the
+    kernel's.  A disconnected pair gets no bound (inf), so its search still
+    raises `NoPath`; a VNF that no host can take gets -inf.
+    """
+    shortest = graph.route_matrix(config.num_paths)[request.source][request.destination]
+    if shortest is None:
+        return math.inf
+    modes = [context.server_states[i].mode for i in range(len(graph.nodes))]
+    power = 0.0
+    for vnf in request.vnfs:
+        if vnf.is_pseudo:
+            continue
+        charges = [
+            0.0 if mode is OFF_AVAILABLE else (vnf.cpu / node.cpu) * (node.power.p_max - node.power.p_idle)
+            for mode, node in zip(modes, graph.nodes)
+            if mode is not OFF_UNAVAILABLE
+        ]
+        if not charges:
+            return -math.inf
+        power += min(charges)
+    delay = sum(vnf.exec_time for vnf in request.vnfs) + shortest[0].total_delay
+    return user_payoff(0.0, power / graph.total_p_max, delay / request.max_delay, config.weights) + 1e-9
 
 
 def network_payoff(profile: StrategyProfile) -> float:

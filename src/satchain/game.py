@@ -9,12 +9,22 @@ network payoff by exactly the deviator's payoff change, so every commit
 raises the network payoff and the dynamics terminate at a profile where no
 request can improve by changing only its own strategy.
 
+Only the winner matters, so a request that cannot beat the round's best
+offer so far need not search.  `pgra_run` visits requests lowest payoff
+first, and each passes `best_response` the floor its proposal must reach to
+count and win; a request whose `costing.payoff_ceiling` is below it is
+answered None without a search.  Such a proposal could not have won, so
+each round's winner, and with it the whole run, is that of searching every
+request.  Only `IterationRecord.proposals` reads lower: it counts the
+improving proposals of the requests that searched, and the converged row
+still reads 0.
+
 Between iterations only the winner's strategy changes, so most best
 responses would repeat themselves.  `pgra_run` keeps a memo entry per
-request: its `ContextView`, built on its first best response, and one
-`placement.Certificate` for all of its corridor searches: the outcome of
-the capacity and bandwidth tests they made and the server flags their power
-rule read.  ``profile.strategies`` logs each commit, whose change to a view
+request: its payoff ceiling, its `ContextView`, built on its first search,
+and one `placement.Certificate` for all of its corridor searches: the
+outcome of the capacity and bandwidth tests they made and the server flags
+their power rule read.  ``profile.strategies`` logs each commit, whose change to a view
 is worked out once; each view catches up by adding the changes it has not
 read.  A best response whose certificate holds for the caught-up view is
 not computed again: its stored result is what the kernel would return,
@@ -48,7 +58,7 @@ class IterationRecord:
     phi_before: float
     phi_after: float
     improvement: float
-    proposals: int  # improving change proposals this iteration
+    proposals: int  # improving change proposals this iteration, of the requests that searched
 
 
 @dataclass
@@ -66,17 +76,20 @@ class GameTrace:
         return bool(self.rows) and self.rows[-1].winner is None
 
 
-def _improving_move(request, profile: StrategyProfile, graph: NetworkGraph, config: SimulationConfig, memo=None):
+def _improving_move(
+    request, profile: StrategyProfile, graph: NetworkGraph, config: SimulationConfig, memo=None, floor=None
+):
     """(best response, payoff gain) when it is a move, else None.
 
     A best response that merely re-prices the current placement under a
     shifted context is not a move; only a structurally different proposal
     with a payoff gain above `EPSILON` counts.  Paths are frozen and a node
     sequence fixes a route's links and its `math.fsum` delay, so equal
-    (hosts, routes) is the same placement.  `memo` goes to `best_response`.
+    (hosts, routes) is the same placement.  `memo` and `floor` go to
+    `best_response`.
     """
     current = profile.strategies[request.id]
-    proposal = best_response(request, profile, graph, config, memo)
+    proposal = best_response(request, profile, graph, config, memo, floor=floor)
     if proposal is None or (proposal.hosts, proposal.routes) == (current.hosts, current.routes):
         return None
     gain = proposal.payoff - current.payoff
@@ -94,25 +107,30 @@ def pgra_run(
 
     All strategies start unallocated.  The run stops when no request proposes
     an improving change (payoff gain above `EPSILON`) or after ``k_max``
-    iterations.  ``on_commit``, when given, is called with the profile after
+    iterations.  The largest improvement commits, ties to the smallest id;
+    a request whose payoff ceiling cannot beat the best offer so far skips
+    its search.  ``on_commit``, when given, is called with the profile after
     every committed iteration (used by validation harnesses).
     """
     profile = StrategyProfile.empty(requests, context)
+    strategies = profile.strategies
     trace = GameTrace()
-    order = sorted(profile.requests)
-    memo: dict = {}  # kept views and certified best responses; modes, graph and config are fixed for this call
+    memo: dict = {}  # ceilings, kept views and certified best responses; modes, graph and config are fixed for this call
     for k in range(config.k_max):
         phi_before = network_payoff(profile)
         best_improvement = 0.0
         winner: Strategy | None = None
         proposals = 0
-        for rid in order:
-            move = _improving_move(profile.requests[rid], profile, graph, config, memo)
+        # lowest payoff first, so that unallocated requests set a high best offer early
+        for rid in sorted(profile.requests, key=lambda rid: (strategies[rid].payoff, rid)):
+            floor = strategies[rid].payoff + max(best_improvement, EPSILON)  # what a proposal must reach to count and win
+            move = _improving_move(profile.requests[rid], profile, graph, config, memo, floor)
             if move is None:
                 continue
             proposal, improvement = move
             proposals += 1
-            if winner is None or improvement > best_improvement:
+            # the largest improvement wins; ties go to the smallest id
+            if winner is None or (-improvement, rid) < (-best_improvement, winner.request_id):
                 best_improvement = improvement
                 winner = proposal
         if winner is None:

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .costing import ContextView, Strategy, StrategyProfile, evaluate_strategy
+from .costing import ContextView, Strategy, StrategyProfile, evaluate_strategy, payoff_ceiling
 from .energy import OFF_AVAILABLE, OFF_UNAVAILABLE, ON
 from .topology import NetworkGraph, Path
 from .workload import UserRequest
@@ -390,22 +390,30 @@ def _work_out_moves(graph: NetworkGraph, profile: StrategyProfile, moves: list) 
 
 
 class _Kept:
-    """A request's entry in the `best_response` memo: its view, how far into
-    the profile's strategy log the view has read, and the certified best
-    response of its last search.
+    """A request's entry in the `best_response` memo: its payoff ceiling,
+    its view, how far into the profile's strategy log the view has read, and
+    the certified best response of its last search.
 
-    The view catches up by itself: it adds the change of each unread write's
-    move, worked out once for the whole memo, at the move's nodes and links,
-    skipping the request's own writes.  In a `whole` slot (see
-    `_whole_numbers`) the sums give the bits of a fresh build; otherwise a
-    view that has unread moves is built afresh.
+    The view is built on the request's first search, not on a call that the
+    ceiling answers.  After that it catches up by itself: it adds the change
+    of each unread write's move, worked out once for the whole memo, at the
+    move's nodes and links, skipping the request's own writes.  In a `whole`
+    slot (see `_whole_numbers`) the sums give the bits of a fresh build;
+    otherwise a view that has unread moves is built afresh.
     """
 
-    __slots__ = ("view", "log", "moves", "read", "whole", "certificate", "best")
+    __slots__ = ("ceiling", "view", "log", "moves", "read", "whole", "certificate", "best")
 
-    def __init__(self, graph: NetworkGraph, profile: StrategyProfile, request_id: int, first: _Kept | None):
-        self.view = ContextView.build(graph, profile, exclude=request_id)
-        self.read = len(profile.strategies.log)
+    def __init__(
+        self,
+        graph: NetworkGraph,
+        profile: StrategyProfile,
+        request: UserRequest,
+        config: SimulationConfig,
+        first: _Kept | None,
+    ):
+        self.ceiling = payoff_ceiling(request, graph, profile.context, config)
+        self.view = self.certificate = None
         if first is None:  # one memo serves one profile on one graph: its first entry's log, moves and test serve all
             self.log, self.moves, self.whole = profile.strategies.log, [], _whole_numbers(graph, profile)
         else:
@@ -418,9 +426,10 @@ class _Kept:
         if profile.strategies.log is not self.log:
             raise ValueError("a memo entry was read against a profile it was not built on")
         _work_out_moves(graph, profile, self.moves)
-        unread = [move for move in self.moves[self.read :] if move and move[0] != request_id]
+        fresh = self.view is None
+        unread = [] if fresh else [move for move in self.moves[self.read :] if move and move[0] != request_id]
         self.read = len(self.moves)
-        if not self.whole and unread:
+        if fresh or (not self.whole and unread):
             self.view = ContextView.build(graph, profile, exclude=request_id)
             return range(len(graph.nodes)), range(len(graph.links))
         view = self.view
@@ -446,6 +455,7 @@ def best_response(
     config: SimulationConfig,
     memo: dict | None = None,
     view: ContextView | None = None,
+    floor: float | None = None,
 ) -> Strategy | None:
     """Payoff-maximal strategy over all candidate paths, others held fixed.
 
@@ -456,30 +466,38 @@ def best_response(
     lexicographically smallest host sequence.  None means the request stays
     unallocated.
 
-    `memo` maps a request id to an entry that keeps the request's view, which
-    catches up with the log of ``profile.strategies`` by itself, and a sealed
-    `Certificate` of all its corridor runs with the best response they gave.
-    The view is built on the request's first call only; while the
-    certificate holds for the caught-up view, the stored result is returned
-    without running the kernel.  A memo serves one profile (another raises
-    `ValueError`) until server modes, the graph, the requests or the config
-    change.  Without a memo, a given `view` is searched in place of a fresh
-    build; it must equal ``ContextView.build(graph, profile, exclude=request.id)``.
+    A `floor` above the request's `payoff_ceiling` returns None at once: no
+    placement can pay as much, so nothing is searched, built or caught up.
+
+    `memo` maps a request id to an entry that keeps the request's ceiling,
+    its view, which catches up with the log of ``profile.strategies`` by
+    itself, and a sealed `Certificate` of all its corridor runs with the
+    best response they gave.  The view is built on the request's first
+    search only; while the certificate holds for the caught-up view, the
+    stored result is returned without running the kernel.  A memo serves
+    one profile (another raises `ValueError`) until server modes, the graph,
+    the requests or the config change.  Without a memo, a given `view` is
+    searched in place of a fresh build; it must equal
+    ``ContextView.build(graph, profile, exclude=request.id)``.
     """
-    certificate = kept = None
-    if memo is None:
-        if view is None:
-            view = ContextView.build(graph, profile, exclude=request.id)
-    else:
+    kept = None
+    if memo is not None:
         kept = memo.get(request.id)
         if kept is None:
-            kept = _Kept(graph, profile, request.id, next(iter(memo.values()), None))
-        else:
-            nodes, links = kept.catch_up(graph, profile, request.id)
-            if kept.certificate.holds(kept.view, nodes, links):
-                return kept.best
+            kept = memo[request.id] = _Kept(graph, profile, request, config, next(iter(memo.values()), None))
+    if floor is not None:
+        ceiling = kept.ceiling if kept is not None else payoff_ceiling(request, graph, profile.context, config)
+        if ceiling < floor:
+            return None
+    certificate = None
+    if kept is not None:
+        nodes, links = kept.catch_up(graph, profile, request.id)
+        if kept.certificate is not None and kept.certificate.holds(kept.view, nodes, links):
+            return kept.best
         view = kept.view
         certificate = Certificate()
+    elif view is None:
+        view = ContextView.build(graph, profile, exclude=request.id)
     table: dict = {}
     best = best_rank = None
     seen_corridors = set()
@@ -497,7 +515,6 @@ def best_response(
     if kept is not None:
         certificate.seal(view)
         kept.certificate, kept.best = certificate, best
-        memo[request.id] = kept
     return best
 
 

@@ -6,8 +6,10 @@ calling the search code they verify.
 
 import math
 
-from satchain.costing import ContextView, Strategy, evaluate_strategy
+from satchain.costing import ContextView, Strategy, StrategyProfile, evaluate_strategy, network_payoff
 from satchain.energy import Mode
+from satchain.game import EPSILON
+from satchain.placement import best_response
 from satchain.topology import Path
 
 
@@ -147,3 +149,35 @@ def cpu_by_host(running):
             if not vnf.is_pseudo:
                 cpu[host] = cpu.get(host, 0.0) + vnf.cpu
     return cpu
+
+
+def paper_rounds(requests, graph, context, config):
+    """The paper's round loop with no floors and no memo: each round searches
+    every request's best response, in id order, against the round's
+    profile; a structurally new proposal that gains more than `EPSILON` is
+    an improving move, and the first strictly largest gain commits.
+
+    Returns (profile, rows, responses): a row per round as (winner,
+    Φ before, Φ after, improvement), the last with winner None unless
+    ``k_max`` cut the run, and every (request, best response) searched.
+    """
+    profile = StrategyProfile.empty(requests, context)
+    rows, responses = [], []
+    for _ in range(config.k_max):
+        phi_before = network_payoff(profile)
+        winner = None
+        for rid in sorted(profile.requests):
+            request, current = profile.requests[rid], profile.strategies[rid]
+            proposal = best_response(request, profile, graph, config)
+            responses.append((request, proposal))
+            if proposal is None or (proposal.hosts, proposal.routes) == (current.hosts, current.routes):
+                continue
+            gain = proposal.payoff - current.payoff
+            if gain > EPSILON and (winner is None or gain > winner[1]):
+                winner = (proposal, gain)
+        if winner is None:
+            rows.append((None, phi_before, phi_before, 0.0))
+            break
+        profile.strategies[winner[0].request_id] = winner[0]
+        rows.append((winner[0].request_id, phi_before, network_payoff(profile), winner[1]))
+    return profile, rows, responses

@@ -14,16 +14,25 @@ spec.loader.exec_module(bench_pairs)
 BETTER = {"setup_s": "lower", "decision_ms_p50": "lower", "requests_per_s": "higher"}
 
 
-def run(setup_s, p50, rate):
-    return {"correct": True, "failed": 0, "metrics": {"setup_s": setup_s, "decision_ms_p50": p50, "requests_per_s": rate}}
+def run(setup_s, p50, rate, timed=None):
+    metrics = {"setup_s": setup_s, "decision_ms_p50": p50, "requests_per_s": rate}
+    return {"correct": True, "failed": 0, "metrics": metrics, "decisions_timed": timed}
 
 
 PAIRS = [
-    {"first": "a", "a": run(0.20, 10.0, 100.0), "b": run(0.30, 6.0, 110.0)},
-    {"first": "b", "a": run(0.40, 12.0, 90.0), "b": run(0.10, 7.0, 90.0)},
-    {"first": "a", "a": run(0.22, 11.0, 95.0), "b": run(0.32, 8.0, 80.0)},
-    {"first": "b", "a": run(0.42, 13.0, 105.0), "b": run(0.12, 5.0, 120.0)},
+    {"first": "a", "a": run(0.20, 10.0, 100.0, 400), "b": run(0.30, 6.0, 110.0, 700)},
+    {"first": "b", "a": run(0.40, 12.0, 90.0, 100), "b": run(0.10, 7.0, 90.0, 500)},
+    {"first": "a", "a": run(0.22, 11.0, 95.0, 300), "b": run(0.32, 8.0, 80.0, 800)},
+    {"first": "b", "a": run(0.42, 13.0, 105.0, 200), "b": run(0.12, 5.0, 120.0, 600)},
 ]
+
+# the tail of an untraced `bench/run.py` run, as it prints it
+STDOUT = """\
+setup 0.031 s
+decisions timed: 41873; 23 instance runs; list of 1234 requests in 6.021 s
+rows digest (seed 1, 9 instances): 3ccef1c6
+{"workload": "pgra", "correct": true}
+"""
 
 
 def test_quartiles_interpolate_between_sorted_values():
@@ -57,3 +66,23 @@ def test_a_pair_with_a_failed_run_counts_for_no_metric():
     summary = bench_pairs.summarize([failed, *PAIRS[:1]], BETTER)
     assert summary["metrics"]["decision_ms_p50"]["pairs"] == 1
     assert summary["setup_s_by_position"]["a"] == {"first": [0.20], "second": []}
+
+
+def test_decisions_timed_is_read_from_the_run_output():
+    assert bench_pairs.decisions_timed(STDOUT) == 41873
+    assert bench_pairs.decisions_timed("decisions timed: 12 of them\n") is None
+    assert bench_pairs.decisions_timed("") is None
+
+
+def test_decisions_timed_has_quartiles_per_side_over_complete_pairs():
+    failed = {"first": "a", "a": run(0.2, 1.0, 1.0, 10**6), "b": {"correct": False, "failed": None, "metrics": {}}}
+    timed = bench_pairs.summarize([failed, *PAIRS], BETTER)["decisions_timed"]
+    assert timed == {
+        "a": {"q1": 175.0, "median": 250.0, "q3": 325.0},
+        "b": {"q1": 575.0, "median": 650.0, "q3": 725.0},
+    }
+
+
+def test_runs_without_a_count_give_no_quartiles():
+    untimed = [{**pair, "a": {**pair["a"], "decisions_timed": None}} for pair in PAIRS]
+    assert bench_pairs.summarize(untimed, BETTER)["decisions_timed"] == {"b": {"q1": 575.0, "median": 650.0, "q3": 725.0}}

@@ -2,8 +2,10 @@
 
 `pgra_run` keeps, per request, its last best response with one
 `placement.Certificate` of what all of its corridor runs read, and reuses
-the result while the certificate holds.  Each test here runs 4-slot on-line
-sequences, which supply committed placements and servers in every mode, and
+the result while the certificate holds.  The tests here run 4-slot on-line
+sequences of 8 to 12 requests a slot, which supply committed placements and
+servers in every mode; so many, because a request whose payoff ceiling
+cannot beat its round's best offer makes no certificate check.  Each
 compares every `IterationRecord` and every final `Strategy` of every slot's
 `pgra_run` with the same run where every certificate check fails, so every
 corridor is searched again.  Two weakened certificates, one blind to the power rule's
@@ -35,7 +37,7 @@ def slot_runs(monkeypatch, leg) -> list:
     """(trace rows, final strategies) of each slot's `pgra_run` in a 4-slot on-line run."""
     nodes, idle_charge, link_bandwidth, seed = leg
     config = SimulationConfig(
-        idle_charge=idle_charge, link_bandwidth=link_bandwidth, slots=4, requests_per_slot=(4, 8)
+        idle_charge=idle_charge, link_bandwidth=link_bandwidth, slots=4, requests_per_slot=(8, 12)
     ).with_nodes(nodes)
     runs = []
 

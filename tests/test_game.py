@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -7,18 +8,21 @@ from hypothesis import strategies as st
 
 from satchain.costing import (
     ContextView,
+    CostBreakdown,
     Strategy,
     StrategyProfile,
     check_feasibility,
     network_payoff,
+    payoff_ceiling,
 )
+from satchain import game
 from satchain.game import EPSILON, is_nash, pgra_run, potential_identity_check
-from satchain.harness import SimulationConfig
+from satchain.harness import SimulationConfig, run_online
 from satchain.placement import best_response, viterbi_place
 from satchain.workload import generate_requests
 
 from conftest import idle_context, make_graph, make_request
-from oracles import enumerate_request_strategies
+from oracles import enumerate_request_strategies, paper_rounds
 from test_placement import drawn_game
 
 
@@ -109,6 +113,22 @@ class TestPgraRun:
         assert seen and all(count == 0 for count in seen)
 
 
+    def test_a_tie_goes_to_the_smallest_id_whatever_the_visiting_order(self, graph6, monkeypatch):
+        # scripted best responses: in round 1, request 1 (payoff 0) is visited
+        # before request 0 (payoff 0.5), and both offer a gain of exactly 0.25
+        offers = {(0, ()): ((1,), 0.5), (0, (1,)): ((2,), 0.75), (1, ()): ((3,), 0.25)}
+
+        def scripted(request, profile, graph, config, memo=None, floor=None):
+            current = profile.strategies[request.id]
+            hosts, payoff = offers.get((request.id, current.hosts), (current.hosts, current.payoff))
+            return Strategy(request.id, hosts, (), CostBreakdown(0.0, 0.0, 0.0, payoff))
+
+        monkeypatch.setattr(game, "best_response", scripted)
+        requests = [make_request(rid, 0, 3, [(4.0, 4.0, 10.0)]) for rid in (0, 1)]
+        _, trace = pgra_run(requests, graph6, idle_context(graph6), small_config())
+        assert [(row.winner, row.improvement) for row in trace.rows] == [(0, 0.5), (0, 0.25), (1, 0.25), (None, 0.0)]
+
+
 class TestIsNash:
     def test_converged_run_is_an_equilibrium(self, graph6):
         requests = generate_requests(8, graph6, rng_seed=23, d=4)
@@ -197,3 +217,44 @@ class TestDrawnGames:
     @given(st.data())
     def test_guarantees_hold_on_drawn_games_of_tenths(self, data):
         assert_game_guarantees_on_a_drawn_game(data, divisor=10)
+
+
+def assert_bounded_dynamics_follow_the_paper(data, divisor, idle_charge):
+    """On one `drawn_game` under `idle_charge`: `pgra_run`, whose requests
+    skip the search when their payoff ceiling cannot beat the round's best
+    offer, gives the winners, Φ rows, improvements, iteration count and
+    final strategies of `paper_rounds`, which searches every request every
+    round; and every best response searched there pays at most its
+    request's ceiling."""
+    requests, graph, context, config = drawn_game(data, divisor)
+    config = dataclasses.replace(config, idle_charge=idle_charge)
+    profile, trace = pgra_run(requests, graph, context, config)
+    expected, rows, responses = paper_rounds(requests, graph, context, config)
+    assert [(row.winner, row.phi_before, row.phi_after, row.improvement) for row in trace.rows] == rows
+    assert profile.strategies == expected.strategies
+    for request, response in responses:
+        assert response is None or response.payoff <= payoff_ceiling(request, graph, context, config)
+
+
+class TestBoundedDynamics:
+    @pytest.mark.parametrize("idle_charge", ["once", "per_vnf"])
+    @pytest.mark.parametrize("divisor", [1, 10], ids=["whole", "tenths"])
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(data=st.data())
+    def test_bounded_pgra_run_follows_the_paper_round_loop(self, data, divisor, idle_charge):
+        assert_bounded_dynamics_follow_the_paper(data, divisor, idle_charge)
+
+    def test_every_best_response_of_an_online_run_pays_at_most_its_ceiling(self, monkeypatch):
+        checked = []
+        respond = game.best_response
+
+        def bounded(request, profile, graph, config, *args, **kwargs):
+            response = respond(request, profile, graph, config, *args, **kwargs)
+            if response is not None:
+                checked.append(response)
+                assert response.payoff <= payoff_ceiling(request, graph, profile.context, config)
+            return response
+
+        monkeypatch.setattr(game, "best_response", bounded)
+        run_online(SimulationConfig(slots=8, requests_per_slot=(10, 14)).with_nodes(12), "pgra", 5)
+        assert len(checked) > 500

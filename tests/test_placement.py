@@ -1,4 +1,5 @@
 import copy
+import math
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from satchain import harness, placement
-from satchain.costing import ContextView, Strategy, StrategyProfile, Weights, check_feasibility
+from satchain.costing import ContextView, Strategy, StrategyProfile, Weights, check_feasibility, payoff_ceiling
 from satchain.energy import Mode, ServerState
 from satchain.game import pgra_run
 from satchain.harness import SimulationConfig
@@ -122,21 +123,24 @@ def assert_best_responses_match_independent_runs(requests, graph, context, confi
 
 
 def interleave_memo_calls(data, divisor, check):
-    """Interleave memo'd best responses with direct writes to the profile:
-    commits, drops to unallocated, restores of an earlier strategy, two
-    writes to one request in a row (a -> b -> c or back to a) and a write of
-    the object already stored.  After each memo'd call, ``check(kept, graph,
+    """Interleave memo'd best responses, and calls whose floor no placement
+    can reach, with direct writes to the profile: commits, drops to
+    unallocated, restores of an earlier strategy, two writes to one request
+    in a row (a -> b -> c or back to a) and a write of the object already
+    stored.  After each memo'd call, ``check(kept, graph,
     profile, request)`` runs on the request's memo entry."""
     requests, graph, context, config = drawn_game(data, divisor)
     profile = StrategyProfile.empty(requests, context)
     memo, given = {}, {r.id: [] for r in requests}
     for _ in range(data.draw(st.integers(8, 40))):
         request = data.draw(st.sampled_from(requests))
-        actions = ("respond", "respond", "commit", "drop", "restore", "twice", "same")
+        actions = ("respond", "respond", "commit", "drop", "restore", "twice", "same", "skip")
         action = data.draw(st.sampled_from(actions))
         if action == "respond":
             best_response(request, profile, graph, config, memo)
             check(memo[request.id], graph, profile, request)
+        elif action == "skip":
+            assert best_response(request, profile, graph, config, memo, floor=math.inf) is None
         elif action == "commit":
             strategy = best_response(request, profile, graph, config)
             if strategy is not None:
@@ -176,6 +180,8 @@ def assert_moved_sets_cover_every_change(data, divisor):
     per_node = ("free_cpu", "free_mem", "serving", "idling")
 
     def checked(kept, graph, profile, request_id):
+        if kept.view is None:  # the first search builds the view: there is nothing to catch up
+            return catch_up(kept, graph, profile, request_id)
         before = {name: list(getattr(kept.view, name)) for name in (*per_node, "free_bw")}
         nodes, links = catch_up(kept, graph, profile, request_id)
         view = kept.view
@@ -519,6 +525,66 @@ class TestBestResponse:
         first = best_response(requests[0], profile, graph6, config)
         second = best_response(requests[0], profile, graph6, config)
         assert first == second
+
+
+class TestFloor:
+    """`best_response(floor=...)`: a floor above the request's payoff ceiling
+    answers None before any work; one at or below it changes nothing."""
+
+    @staticmethod
+    def slot(graph):
+        requests = generate_requests(8, graph, rng_seed=13, d=4)
+        return requests, StrategyProfile.empty(requests, idle_context(graph)), SimulationConfig(num_paths=4, beam_width=4)
+
+    def test_a_floor_above_the_ceiling_builds_and_searches_nothing(self, graph6, monkeypatch):
+        requests, profile, config = self.slot(graph6)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("searched")
+
+        monkeypatch.setattr(ContextView, "build", classmethod(refuse))
+        monkeypatch.setattr(placement, "_beam_search", refuse)
+        memo = {}
+        for request in requests:
+            ceiling = payoff_ceiling(request, graph6, profile.context, config)
+            above = math.nextafter(ceiling, math.inf)
+            assert best_response(request, profile, graph6, config, floor=above) is None
+            assert best_response(request, profile, graph6, config, memo, floor=above) is None
+            assert memo[request.id].ceiling == ceiling and memo[request.id].view is None
+
+    def test_a_floor_at_or_below_the_ceiling_gives_the_unfloored_result(self, graph6):
+        requests, profile, config = self.slot(graph6)
+        allocated = 0
+        for request in requests:
+            ceiling = payoff_ceiling(request, graph6, profile.context, config)
+            expected = best_response(request, profile, graph6, config)
+            allocated += expected is not None
+            assert expected is None or expected.payoff <= ceiling
+            for floor in (ceiling, ceiling - 0.25, -math.inf):
+                assert best_response(request, profile, graph6, config, floor=floor) == expected
+                assert best_response(request, profile, graph6, config, {}, floor=floor) == expected
+            if expected is not None:
+                profile.strategies[request.id] = expected
+        assert allocated >= 4
+
+    @pytest.mark.parametrize("searched_first", [True, False])
+    def test_a_request_skipped_for_rounds_then_searched_matches_a_fresh_search(self, graph6, searched_first):
+        requests, profile, config = self.slot(graph6)
+        watched, others = requests[0], requests[1:]
+        memo = {}
+        if searched_first:
+            best_response(watched, profile, graph6, config, memo)
+        floor = payoff_ceiling(watched, graph6, profile.context, config) + 0.5
+        for other in others:
+            strategy = best_response(other, profile, graph6, config)
+            if strategy is not None:
+                profile.strategies[other.id] = strategy
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(placement._Kept, "catch_up", lambda *args: pytest.fail("caught up"))
+                assert best_response(watched, profile, graph6, config, memo, floor=floor) is None
+        assert len(profile.allocated_ids()) >= 4
+        assert best_response(watched, profile, graph6, config, memo) == best_response(watched, profile, graph6, config)
+        assert_same_view(memo[watched.id].view, ContextView.build(graph6, profile, exclude=watched.id))
 
 
 class TestGreedyPlace:

@@ -10,11 +10,13 @@ rounds and B in odd ones, so that host drift and the position in a pair hit
 both sides alike.  For each workload and seed it writes, per end-to-end
 metric of ``BENCHMARK.json``, each side's median and quartiles, which side
 won each pair, the change of B's median against A's and whether the gap
-between the medians exceeds A's interquartile spread; ``setup_s`` split by
-position in the pair; both commit ids; and each run's ``correct`` and
-``failed``.  An existing ``--out`` file of the same two commits keeps its
-other workloads and seeds.  Exits 1 unless every run reads ``correct: true,
-failed: 0``.
+between the medians exceeds A's interquartile spread; each side's quartiles
+of the decisions a run timed (its ``decisions timed: N`` line), since the
+bench keeps every sample and so its ``peak_rss_mb`` grows with that count;
+``setup_s`` split by position in the pair; both commit ids; and each run's
+``correct`` and ``failed``.  An existing ``--out`` file of the same two
+commits keeps its other workloads and seeds.  Exits 1 unless every run reads
+``correct: true, failed: 0``.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -47,11 +50,12 @@ def quartiles(values: list) -> dict:
 
 def summarize(pairs: list, better: dict) -> dict:
     """Per-metric summary of `pairs`, each ``{"first": "a" or "b", "a": run,
-    "b": run}`` with a run's metric values under ``"metrics"``; `better` maps
-    each metric to "lower" or "higher".  A pair where either run has no
-    metrics counts for none."""
-    complete = [(pair["first"], pair["a"]["metrics"], pair["b"]["metrics"]) for pair in pairs]
-    complete = [(first, {"a": a, "b": b}) for first, a, b in complete if a and b]
+    "b": run}`` with a run's metric values under ``"metrics"`` and its count
+    of timed decisions under ``"decisions_timed"``; `better` maps each metric
+    to "lower" or "higher".  A pair where either run has no metrics counts
+    for none, and a side with a run of no count gets no count quartiles."""
+    pairs = [pair for pair in pairs if pair["a"]["metrics"] and pair["b"]["metrics"]]
+    complete = [(pair["first"], {side: pair[side]["metrics"] for side in SIDES}) for pair in pairs]
     metrics = {}
     for name, direction in better.items():
         sign = 1.0 if direction == "higher" else -1.0
@@ -70,19 +74,29 @@ def summarize(pairs: list, better: dict) -> dict:
     for first, values in complete:
         for side in SIDES:
             by_position[side]["first" if first == side else "second"].append(values[side]["setup_s"])
-    return {"metrics": metrics, "setup_s_by_position": by_position}
+    timed = {side: [pair[side].get("decisions_timed") for pair in pairs] for side in SIDES}
+    timed = {side: quartiles(counts) for side, counts in timed.items() if counts and None not in counts}
+    return {"metrics": metrics, "decisions_timed": timed, "setup_s_by_position": by_position}
+
+
+def decisions_timed(stdout: str) -> int | None:
+    """N of the run's ``decisions timed: N; ...`` line, None without one."""
+    found = re.search(r"^decisions timed: (\d+);", stdout, re.MULTILINE)
+    return int(found.group(1)) if found else None
 
 
 def bench_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One untraced ``bench/run.py`` run in `checkout`: its last output line's
-    ``correct``, ``attempted`` and ``failed``, and its metric values."""
+    ``correct``, ``attempted`` and ``failed``, its metric values and the
+    number of decisions it timed."""
     command = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed)]
     command += ["--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(command, cwd=checkout, capture_output=True, text=True)
     try:
         result = json.loads(done.stdout.strip().splitlines()[-1])
         metrics = {name: entry["value"] for name, entry in result["metrics"].items()}
-        return {**{key: result[key] for key in ("correct", "attempted", "failed")}, "metrics": metrics}
+        fields = {key: result[key] for key in ("correct", "attempted", "failed")}
+        return {**fields, "metrics": metrics, "decisions_timed": decisions_timed(done.stdout)}
     except (IndexError, KeyError, TypeError, ValueError):
         return {"correct": False, "attempted": None, "failed": None, "metrics": {}, "error": done.stderr[-2000:]}
 
