@@ -24,16 +24,16 @@ responses would repeat themselves.  `pgra_run` keeps a memo entry per
 request: its payoff ceiling, its `ContextView`, built on its first search,
 and one `placement.Certificate` for all of its corridor searches: the
 outcome of the capacity and bandwidth tests they made and the server flags
-their power rule read.  ``profile.strategies`` logs each commit, whose change to a view
-is worked out once; each view catches up by adding the changes it has not
-read.  A best response whose certificate holds for the caught-up view is
-not computed again: its stored result is what the kernel would return,
+their power rule read.  ``profile.strategies`` logs each commit, whose change
+to a view is worked out once; each view catches up by adding the changes it
+has not read.  A best response whose certificate holds for the caught-up view
+is not computed again: its stored result is what the kernel would return,
 because the certificate replays the kernel's own comparisons.  The check
-tests only the nodes and links that catch-up changed, since every other
-test passed before on the values it still reads.  Server modes, the graph,
-the requests and the config are fixed within one call and the memo dies
-with it, so no view or result crosses slots.  `is_nash` runs uncached, so
-it checks the cached dynamics independently.
+tests only the nodes and links that catch-up changed, since every other test
+passed before on the values it still reads.  Server modes, the graph, the
+requests and the config are fixed within one call and the memo dies with it,
+so no view or result crosses slots.  `is_nash` runs uncached, so it checks
+the cached dynamics independently.
 """
 
 from __future__ import annotations
@@ -115,7 +115,8 @@ def pgra_run(
     profile = StrategyProfile.empty(requests, context)
     strategies = profile.strategies
     trace = GameTrace()
-    memo: dict = {}  # ceilings, kept views and certified best responses; modes, graph and config are fixed for this call
+    # ceilings, kept views and certified best responses; modes, graph and config are fixed for this call
+    memo: dict = {}
     for k in range(config.k_max):
         phi_before = network_payoff(profile)
         best_improvement = 0.0
@@ -123,7 +124,8 @@ def pgra_run(
         proposals = 0
         # lowest payoff first, so that unallocated requests set a high best offer early
         for rid in sorted(profile.requests, key=lambda rid: (strategies[rid].payoff, rid)):
-            floor = strategies[rid].payoff + max(best_improvement, EPSILON)  # what a proposal must reach to count and win
+            # what a proposal must reach to count and to win
+            floor = strategies[rid].payoff + max(best_improvement, EPSILON)
             move = _improving_move(profile.requests[rid], profile, graph, config, memo, floor)
             if move is None:
                 continue

@@ -157,9 +157,11 @@ def paper_rounds(requests, graph, context, config):
     profile; a structurally new proposal that gains more than `EPSILON` is
     an improving move, and the first strictly largest gain commits.
 
-    Returns (profile, rows, responses): a row per round as (winner,
-    Φ before, Φ after, improvement), the last with winner None unless
-    ``k_max`` cut the run, and every (request, best response) searched.
+    It checks `pgra_run`'s rounds, not the search: each best response is
+    an uncached `best_response` call.  Returns (profile, rows, responses):
+    a row per round as (winner, Φ before, Φ after, improvement), the last
+    with winner None unless ``k_max`` cut the run, and every (request,
+    best response) searched.
     """
     profile = StrategyProfile.empty(requests, context)
     rows, responses = [], []

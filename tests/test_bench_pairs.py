@@ -85,4 +85,5 @@ def test_decisions_timed_has_quartiles_per_side_over_complete_pairs():
 
 def test_runs_without_a_count_give_no_quartiles():
     untimed = [{**pair, "a": {**pair["a"], "decisions_timed": None}} for pair in PAIRS]
-    assert bench_pairs.summarize(untimed, BETTER)["decisions_timed"] == {"b": {"q1": 575.0, "median": 650.0, "q3": 725.0}}
+    timed = bench_pairs.summarize(untimed, BETTER)["decisions_timed"]
+    assert timed == {"b": {"q1": 575.0, "median": 650.0, "q3": 725.0}}

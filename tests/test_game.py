@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from satchain import game
 from satchain.costing import (
     ContextView,
     CostBreakdown,
@@ -15,7 +16,6 @@ from satchain.costing import (
     network_payoff,
     payoff_ceiling,
 )
-from satchain import game
 from satchain.game import EPSILON, is_nash, pgra_run, potential_identity_check
 from satchain.harness import SimulationConfig, run_online
 from satchain.placement import best_response, viterbi_place
@@ -111,7 +111,6 @@ class TestPgraRun:
 
         pgra_run(requests, graph6, idle_context(graph6), small_config(), on_commit=on_commit)
         assert seen and all(count == 0 for count in seen)
-
 
     def test_a_tie_goes_to_the_smallest_id_whatever_the_visiting_order(self, graph6, monkeypatch):
         # scripted best responses: in round 1, request 1 (payoff 0) is visited

@@ -127,7 +127,7 @@ def interleave_memo_calls(data, divisor, check):
     can reach, with direct writes to the profile: commits, drops to
     unallocated, restores of an earlier strategy, two writes to one request
     in a row (a -> b -> c or back to a) and a write of the object already
-    stored.  After each memo'd call, ``check(kept, graph,
+    stored.  After each memo'd call that searches, ``check(kept, graph,
     profile, request)`` runs on the request's memo entry."""
     requests, graph, context, config = drawn_game(data, divisor)
     profile = StrategyProfile.empty(requests, context)
@@ -533,8 +533,10 @@ class TestFloor:
 
     @staticmethod
     def slot(graph):
+        """(requests, empty profile, config) of an 8-request slot on `graph`."""
         requests = generate_requests(8, graph, rng_seed=13, d=4)
-        return requests, StrategyProfile.empty(requests, idle_context(graph)), SimulationConfig(num_paths=4, beam_width=4)
+        profile = StrategyProfile.empty(requests, idle_context(graph))
+        return requests, profile, SimulationConfig(num_paths=4, beam_width=4)
 
     def test_a_floor_above_the_ceiling_builds_and_searches_nothing(self, graph6, monkeypatch):
         requests, profile, config = self.slot(graph6)
